@@ -13,31 +13,20 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any
 
 from . import __version__
 from .bands import BandComputationError, periodic_bands
 from .experiments import (
-    AdzRun,
-    ComplexityGrowth,
-    DecayTable,
     RetentionError,
-    SandwichSuite,
     adz_construct,
     complexity_growth_check,
     decay_sweep,
     scaled_product_suite,
 )
 from .intervals import IntervalSet, interval_algebra
-from .tower import (
-    Constants,
-    ExclusionReport,
-    ParamSchedule,
-    ScheduleError,
-    TowerResult,
-    tower_pipeline,
-)
+from .tower import Constants, ScheduleError, TowerResult, tower_pipeline
 from .words import (
     AdzStages,
     Periodic,
@@ -77,8 +66,35 @@ def fmt_num(x) -> str:
     return repr(v)
 
 
+def _record(
+    obj, rename: dict[str, str] | None = None, omit: tuple[str, ...] = (), **derived
+) -> dict:
+    """Artifact record of a result dataclass.
+
+    Every field appears under its own name, or under ``rename[field]``, unless
+    it is in ``omit``; ``derived`` adds computed values and replaces fields of
+    the same key.  Artifact key names are a contract: tests pin them.
+    """
+    rename = rename or {}
+    out = {
+        rename.get(f.name, f.name): getattr(obj, f.name)
+        for f in fields(obj)
+        if f.name not in omit
+    }
+    out.update(derived)
+    return out
+
+
 def _sanitize(obj):
-    """Make an object JSON-safe and deterministic (inf/nan become strings)."""
+    """Make an object JSON-safe and deterministic (inf/nan become strings).
+
+    Interval sets become ``[[lo, hi], ...]`` lists and other dataclasses their
+    ``_record``.
+    """
+    if isinstance(obj, IntervalSet):
+        return _sanitize(obj.intervals)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _sanitize(_record(obj))
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -131,6 +147,36 @@ def read_intervals_csv(path: Path) -> IntervalSet:
 # ---------------------------------------------------------------------------
 # Config parsing
 
+#: every key some command reads; any other key is rejected as a typo
+TOP_KEYS = frozenset(
+    {
+        "seed", "gamma", "gamma_prime", "c", "grid", "refine_tol", "H", "cone_gap",
+        "cone_eps", "P", "C", "C_prime", "C2", "c_slack", "K_max", "potential",
+    }
+)
+SECTION_KEYS = {
+    "subshift": {"kind", "word", "rules", "seed_letter", "stages"},
+    "words": {"sample_len", "complexity_lengths", "alphabet"},
+    "spectrum": {"word"},
+    "measure": {"op", "x", "y"},
+    "decay": {"lam_list", "factor_len", "e0_letter", "sample_len"},
+    "adz": {
+        "k", "eps", "stages", "n_cap", "n_floor", "max_word_len", "complexity_l_max",
+        "complexity_sample_len",
+    },
+    "tower": {
+        "alpha0", "levels", "sample_len", "approx_len", "approx_sample_len",
+        "accel_energies", "accel_r_max", "covering_max_residue_fraction",
+    },
+    "suite": {"trials", "c0", "lam_floors"},
+}
+
+
+def _reject_unknown(obj: dict, known, where: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+
 
 class RunConfig:
     """Validated view of the JSON config file."""
@@ -138,6 +184,10 @@ class RunConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        _reject_unknown(raw, TOP_KEYS.union(SECTION_KEYS), "config")
+        for name, known in SECTION_KEYS.items():
+            if isinstance(raw.get(name), dict):
+                _reject_unknown(raw[name], known, f"config section {name!r}")
         self.raw = raw
         self.seed = int(raw.get("seed", 20260809))
         self.gamma = float(raw.get("gamma", 0.1))
@@ -219,194 +269,58 @@ def _meta(cfg: RunConfig) -> dict:
     }
 
 
-def _iv(iv: IntervalSet) -> list[list[float]]:
-    return [[lo, hi] for lo, hi in iv]
-
-
-def schedule_dict(s: ParamSchedule) -> dict:
-    return {
-        "gamma": s.gamma,
-        "gamma_prime": s.gamma_prime,
-        "c": s.c,
-        "xi": s.xi,
-        "lam": s.lam,
-        "C": s.c_value,
-        "P": s.consts.P,
-        "warnings": s.warnings,
-        "levels": {
-            str(lv.n): {
-                "N": lv.N,
-                "eta": lv.eta,
-                "kappa": lv.kappa,
-                "log_kappa": lv.log_kappa,
-                "chi": lv.chi,
-                "log_lam_bar": lv.log_lam_bar,
-                "lam_bar": lv.lam_bar,
-                "M": lv.M,
-                "zeta": s.zeta(lv.n),
-                "log_zeta": s.log_zeta(lv.n),
-                "inf_l": lv.inf_l,
-                "sup_l": lv.sup_l,
-            }
-            for lv in s.levels
-        },
-        "checks": [
-            {"name": c.name, "ok": c.ok, "required": c.required, "detail": c.detail}
-            for c in s.check_invariants()
-        ],
-    }
-
-
-def exclusion_dict(r: ExclusionReport) -> dict:
-    return {
-        "level": r.level,
-        "kappa": r.kappa,
-        "interval": list(r.interval),
-        "grid": r.grid,
-        "refine_tol": r.refine_tol,
-        "triples": [
-            {
-                "alpha": t.alpha,
-                "beta": t.beta,
-                "j": t.j,
-                "intervals": _iv(t.intervals),
-                "measure": t.measure,
-                "c1_hat": t.c1_hat,
-                "c5_hat": t.c5_hat,
-            }
-            for t in r.triples
-        ],
-        "Jn": _iv(r.j_set),
-        "measure": r.measure,
-        "C1_hat": r.c1_hat,
-        "C5_hat": r.c5_hat,
-        "warnings": r.warnings,
-    }
-
-
-def tower_dicts(res: TowerResult) -> dict[str, dict]:
-    struct = {
-        "alpha0": res.alpha0,
-        "levels": {
-            str(lv.index): {
-                "n_entries": len(lv.entries),
-                "alphabet": [{"run": e.run, "core": e.core} for e in lv.alphabet],
-                "inf_l": lv.inf_l,
-                "sup_l": lv.sup_l,
-                "group_arity": lv.group_arity,
-            }
-            for lv in res.structure.levels
+def _write_tower(cfg: RunConfig, out: Path, res: TowerResult) -> None:
+    """Write the artifacts of the ``tower`` command."""
+    sched = res.schedule
+    records = {
+        "structure": _record(
+            res.structure,
+            omit=("sample", "first_start"),
+            levels={
+                str(lv.index): _record(
+                    lv,
+                    omit=("index", "entries"),
+                    n_entries=len(lv.entries),
+                    alphabet=lv.alphabet,
+                    inf_l=lv.inf_l,
+                    sup_l=lv.sup_l,
+                )
+                for lv in res.structure.levels
+            },
+        ),
+        "schedule": _record(
+            sched,
+            rename={"c_value": "C"},
+            omit=("consts",),
+            P=sched.consts.P,
+            levels={
+                str(lv.n): _record(
+                    lv,
+                    omit=("n",),
+                    kappa=lv.kappa,
+                    log_kappa=lv.log_kappa,
+                    lam_bar=lv.lam_bar,
+                    zeta=sched.zeta(lv.n),
+                    log_zeta=sched.log_zeta(lv.n),
+                )
+                for lv in sched.levels
+            },
+            checks=sched.check_invariants(),
+        ),
+        **{
+            f"exclusion_level_{r.level}": _record(
+                r,
+                rename={"j_set": "Jn", "c1_hat": "C1_hat", "c5_hat": "C5_hat"},
+                triples=[_record(t, measure=t.measure) for t in r.triples],
+                measure=r.measure,
+            )
+            for r in res.exclusions
         },
     }
-    accel = res.accel
-    accel_d = {
-        "level": accel.level,
-        "r_max": accel.r_max,
-        "n_energies": len(accel.energies),
-        "energies": accel.energies,
-        "n_windows": accel.n_windows,
-        "n_checks": accel.n_checks,
-        "hyper_violations": accel.hyper_violations,
-        "drift_failures": accel.drift_failures,
-        "growth_chi_failures": accel.growth_chi_failures,
-        "growth_product_failures": accel.growth_product_failures,
-        "block_floor_failures": accel.block_floor_failures,
-        "worst_drift": accel.worst_drift,
-        "worst_growth_margin": accel.worst_growth_margin,
-        "block_chi_rate": accel.block_chi_rate,
-        "zeta": accel.zeta,
-        "chi_next": accel.chi_next,
-        "all_passed": accel.all_passed,
-    }
-    cov = res.covering
-    cov_d = {
-        "approx_measure": cov.approx_measure,
-        "residue": cov.residue,
-        "residue_fraction": cov.residue_fraction,
-        "covered": cov.covered,
-        "dilation": cov.dilation,
-        "jbar_measure": cov.jbar_measure,
-        "c3_hat": cov.c3_hat,
-        "interval": list(res.interval),
-    }
-    return {
-        "structure": struct,
-        "schedule": schedule_dict(res.schedule),
-        "exclusions": {str(r.level): exclusion_dict(r) for r in res.exclusions},
-        "acceleration": accel_d,
-        "covering": cov_d,
-    }
-
-
-def decay_dicts(table: DecayTable) -> tuple[dict, list[list]]:
-    d = {
-        "rows": [
-            {"lam": r.lam, "factor_len": r.factor_len, "measure": r.measure}
-            for r in table.rows
-        ],
-        "e0_letter": table.e0_letter,
-        "H": table.h,
-        "slope": table.slope,
-        "gamma_hat": table.gamma_hat,
-        "residual": table.residual,
-        "degenerate": table.degenerate,
-        "note": table.note,
-    }
-    rows = [[r.lam, r.factor_len, r.measure] for r in table.rows]
-    return d, rows
-
-
-def adz_dicts(run: AdzRun, growth: ComplexityGrowth | None) -> dict:
-    d = {
-        "eps": run.eps,
-        "potential": dict(run.pot.values),
-        "sigma1_measure": run.sigma1_measure,
-        "final_measure": run.final_measure,
-        "retained_half": run.retained_half,
-        "stages": [
-            {
-                "index": st.index,
-                "n_words": len(st.words),
-                "max_word_len": max(len(w) for w in st.words),
-                "words": st.words,
-                "bands": _iv(st.bands),
-                "band_measure": st.bands.measure,
-                "chosen_N": st.chosen_n,
-                "deficit": st.deficit,
-                "budget": st.budget,
-            }
-            for st in run.stages
-        ],
-        "search_trace": [
-            {"stage": s, "N": n, "deficit": d} for s, n, d in run.searched
-        ],
-    }
-    if growth is not None:
-        d["complexity"] = {
-            "anchor_len": growth.anchor_len,
-            "C_hat": growth.c_hat,
-            "exponent": growth.exponent,
-            "rows": [{"L": L, "p": p, "bound": b} for L, p, b in growth.rows],
-            "within_bound": growth.within_bound,
-        }
-    return d
-
-
-def suite_dict(s: SandwichSuite) -> dict:
-    return {
-        "trials": s.trials,
-        "tested": s.tested,
-        "excluded": s.excluded,
-        "C0": s.c0,
-        "c_slack": s.c_slack,
-        "seed": s.seed,
-        "growth_failures": s.growth_failures,
-        "drift_failures": s.drift_failures,
-        "non_hyperbolic": s.non_hyperbolic,
-        "worst_growth_ratio": s.worst_growth_ratio,
-        "worst_drift_over_ceiling": s.worst_drift_over_ceiling,
-        "all_passed": s.all_passed,
-    }
+    meta = _meta(cfg)
+    for stem, d in records.items():
+        write_json(out / f"{stem}.json", {**d, **meta})
+    intervals_csv(out / "jbar.csv", res.jbar)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +338,7 @@ def _run_words(cfg: RunConfig, out: Path, log) -> int:
     write_csv(out / "complexity.csv", ["n", "p"], rows)
     alphabet = sec.get("alphabet")
     stats = run_stats(spec, sample_len, alphabet)
-    write_json(
-        out / "run_stats.json",
-        {"max_run": stats.max_run, "window": stats.window, **_meta(cfg)},
-    )
+    write_json(out / "run_stats.json", {**_record(stats), **_meta(cfg)})
     log(f"words: sample of {sample_len} letters, p({lengths[-1]}) = {rows[-1][1]}")
     return 0
 
@@ -449,23 +360,30 @@ def _run_spectrum(cfg: RunConfig, out: Path, log) -> int:
     return 0
 
 
+def _read_set(sec: dict, key: str) -> IntervalSet:
+    if key not in sec:
+        raise ConfigError(f"measure.{key} is required")
+    try:
+        return read_intervals_csv(Path(sec[key]))
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"measure.{key}: cannot read an interval CSV: {exc}") from exc
+
+
 def _run_measure(cfg: RunConfig, out: Path, log) -> int:
     sec = cfg.section("measure")
     op = str(sec.get("op", ""))
-    x = read_intervals_csv(Path(sec["x"]))
-    y_raw = sec.get("y")
-    y: Any
-    if op == "dilate":
-        y = float(y_raw)
-    elif op == "measure":
-        y = None
-    else:
-        y = read_intervals_csv(Path(y_raw))
-    result = interval_algebra(op, x, y) if op != "measure" else x.measure
+    x = _read_set(sec, "x")
+    y = sec.get("y")
+    if op in ("union", "intersect", "difference", "subset"):
+        y = _read_set(sec, "y")
+    try:
+        result = interval_algebra(op, x, y)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"measure: {exc}") from exc
     payload = {"op": op, **_meta(cfg)}
     if isinstance(result, IntervalSet):
         intervals_csv(out / "result.csv", result)
-        payload.update({"intervals": _iv(result), "measure": result.measure})
+        payload.update({"intervals": result, "measure": result.measure})
     else:
         payload["result"] = result
     write_json(out / "result.json", payload)
@@ -486,9 +404,9 @@ def _run_decay(cfg: RunConfig, out: Path, log) -> int:
         float(cfg.consts.H),
         int(sec.get("sample_len", 4096)),
     )
-    d, rows = decay_dicts(table)
+    rows = [[r.lam, r.factor_len, r.measure] for r in table.rows]
     write_csv(out / "decay.csv", ["lam", "factor_len", "measure"], rows)
-    write_json(out / "decay.json", {**d, **_meta(cfg)})
+    write_json(out / "decay.json", {**_record(table, rename={"h": "H"}), **_meta(cfg)})
     log(f"decay: measures {[f'{m:.3e}' for m in table.measures]}, gamma_hat={table.gamma_hat}")
     return 0
 
@@ -517,23 +435,36 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
         (out / f"stage_{st.index}.txt").write_text(
             "\n".join(st.words) + "\n", encoding="utf-8", newline="\n"
         )
+    stages = [
+        _record(
+            st,
+            rename={"chosen_n": "chosen_N"},
+            n_words=len(st.words),
+            max_word_len=max(len(w) for w in st.words),
+            band_measure=st.bands.measure,
+        )
+        for st in run.stages
+    ]
+    columns = ["index", "n_words", "max_word_len", "band_measure", "chosen_N", "deficit", "budget"]
     write_csv(
         out / "adz.csv",
-        ["stage", "n_words", "max_word_len", "band_measure", "chosen_N", "deficit", "budget"],
-        [
-            [
-                st.index,
-                len(st.words),
-                max(len(w) for w in st.words),
-                st.bands.measure,
-                st.chosen_n if st.chosen_n is not None else "",
-                st.deficit if st.deficit is not None else "",
-                st.budget if st.budget is not None else "",
-            ]
-            for st in run.stages
-        ],
+        ["stage", *columns[1:]],
+        [["" if st[k] is None else st[k] for k in columns] for st in stages],
     )
-    write_json(out / "adz.json", {**adz_dicts(run, growth), **_meta(cfg)})
+    d = _record(
+        run,
+        omit=("pot", "searched"),
+        potential=run.pot.values,
+        stages=stages,
+        search_trace=[{"stage": s, "N": n, "deficit": d} for s, n, d in run.searched],
+    )
+    if growth is not None:
+        d["complexity"] = _record(
+            growth,
+            rename={"c_hat": "C_hat"},
+            rows=[{"L": L, "p": p, "bound": b} for L, p, b in growth.rows],
+        )
+    write_json(out / "adz.json", {**d, **_meta(cfg)})
     log(
         f"adz: {len(run.stages)} stages, final measure {run.final_measure:.6g} "
         f"(half of stage 1: {0.5 * run.sigma1_measure:.6g})"
@@ -563,17 +494,6 @@ def _tower_result(cfg: RunConfig) -> TowerResult:
     )
 
 
-def _write_tower(cfg: RunConfig, out: Path, res: TowerResult) -> dict[str, dict]:
-    parts = tower_dicts(res)
-    meta = _meta(cfg)
-    write_json(out / "structure.json", {**parts["structure"], **meta})
-    write_json(out / "schedule.json", {**parts["schedule"], **meta})
-    for lvl, d in parts["exclusions"].items():
-        write_json(out / f"exclusion_level_{lvl}.json", {**d, **meta})
-    intervals_csv(out / "jbar.csv", res.jbar)
-    return parts
-
-
 def _run_tower(cfg: RunConfig, out: Path, log) -> int:
     res = _tower_result(cfg)
     _write_tower(cfg, out, res)
@@ -587,10 +507,12 @@ def _run_tower(cfg: RunConfig, out: Path, log) -> int:
 
 def _run_verify(cfg: RunConfig, out: Path, log) -> int:
     res = _tower_result(cfg)
-    parts = _write_tower(cfg, out, res)
+    _write_tower(cfg, out, res)
     meta = _meta(cfg)
-    write_json(out / "acceleration.json", {**parts["acceleration"], **meta})
-    write_json(out / "covering.json", {**parts["covering"], **meta})
+    accel = res.accel
+    accel_d = _record(accel, n_energies=len(accel.energies), all_passed=accel.all_passed)
+    write_json(out / "acceleration.json", {**accel_d, **meta})
+    write_json(out / "covering.json", {**_record(res.covering, interval=res.interval), **meta})
 
     sec = cfg.raw.get("suite", {})
     suite = scaled_product_suite(
@@ -600,9 +522,10 @@ def _run_verify(cfg: RunConfig, out: Path, log) -> int:
         cfg.seed,
         cfg.consts.c_slack,
     )
-    write_json(out / "suite.json", {**suite_dict(suite), **meta})
+    suite_d = _record(suite, rename={"c0": "C0"}, all_passed=suite.all_passed)
+    write_json(out / "suite.json", {**suite_d, **meta})
 
-    max_residue = float(cfg.raw.get("tower", {}).get("covering_max_residue_fraction", 1e-3))
+    max_residue = float(cfg.section("tower").get("covering_max_residue_fraction", 1e-3))
     required_fails = [c for c in res.schedule.failed_checks() if c.required]
     ok = (
         not required_fails
@@ -657,7 +580,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker hint (advisory)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 

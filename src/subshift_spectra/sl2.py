@@ -113,16 +113,18 @@ def cocycle_product(word: Word, energy: float, pot: Potential) -> Mat2:
     The leftmost letter acts first, i.e. the product is
     ``T(w[-1]) @ ... @ T(w[0])``; the empty word gives the identity.
     """
-    m = Mat2.IDENTITY
-    for ch in word:
-        m = transfer_matrix(energy, pot.value(ch)) @ m
-    return m
+    return Mat2.from_array(cocycle_stack(word, np.array([energy]), pot)[0])
 
 
 def cocycle_stack(word: Word, energies: np.ndarray, pot: Potential) -> np.ndarray:
-    """Vectorized ``cocycle_product`` over an energy grid; shape (len(E), 2, 2)."""
+    """Ordered cocycle products over an energy grid; shape (len(E), 2, 2).
+
+    This is the package's one loop that multiplies transfer matrices along a
+    word: ``cocycle_product`` and the tower's marker-run powers call it too.
+    """
     e = np.asarray(energies, dtype=float)
-    out = np.broadcast_to(np.eye(2), (e.size, 2, 2)).copy()
+    out = np.zeros((e.size, 2, 2))
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
     step = np.zeros((e.size, 2, 2))
     step[:, 0, 1] = -1.0
     step[:, 1, 0] = 1.0

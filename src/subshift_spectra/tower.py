@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bands import spectrum_approximant
 from .intervals import IntervalSet
 from .sl2 import _dist_mod_pi, cocycle_stack, svd_angles_stack
 from .words import Potential, ReturnStructure, SubshiftSpec, Word, return_structure
@@ -516,22 +517,11 @@ def exclusion_sets(
     lv = structure.level(level)
     cores = lv.cores
     runs = lv.runs
-    e0 = pot.value(structure.alpha0)
     warnings: list[str] = []
 
     def core_frames(core: Word, energies: np.ndarray):
         mats = cocycle_stack(core, energies, pot)
         return svd_angles_stack(mats)
-
-    def marker_power(j: int, energies: np.ndarray) -> np.ndarray:
-        c = np.zeros((energies.size, 2, 2))
-        c[:, 0, 0] = energies - e0
-        c[:, 0, 1] = -1.0
-        c[:, 1, 0] = 1.0
-        out = c
-        for _ in range(j - 1):
-            out = c @ out
-        return out
 
     def gap_angle(
         u_a: np.ndarray, s_b: np.ndarray, cpow: np.ndarray
@@ -549,7 +539,7 @@ def exclusion_sets(
 
     grid_pts = np.linspace(lo, hi, grid)
     cache = {core: core_frames(core, grid_pts) for core in cores}
-    cpow_cache = {j: marker_power(j, grid_pts) for j in runs}
+    cpow_cache = {j: cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in runs}
 
     triples: list[TripleExclusion] = []
     all_pairs: list[tuple[float, float]] = []
@@ -581,7 +571,7 @@ def exclusion_sets(
                 def member(e: np.ndarray) -> np.ndarray:
                     ua, _, _, ha = core_frames(alpha, e)
                     _, sb, _, hb = core_frames(beta, e)
-                    gg, _ = gap_angle(ua, sb, marker_power(j, e))
+                    gg, _ = gap_angle(ua, sb, cocycle_stack(structure.alpha0 * j, e, pot))
                     return np.where(ha & hb, gg <= kappa, True)
 
                 pairs = _membership_intervals(member, grid_pts, grid_member, refine_tol)
@@ -768,19 +758,10 @@ def acceleration_verify(
     lv = sched.level(level)
     energies = np.asarray(energies, dtype=float)
     entries = structure.level(level).entries
-    e0 = pot.value(structure.alpha0)
-
-    def marker_power(j: int) -> np.ndarray:
-        c = np.zeros((energies.size, 2, 2))
-        c[:, 0, 0] = energies - e0
-        c[:, 0, 1] = -1.0
-        c[:, 1, 0] = 1.0
-        out = c
-        for _ in range(j - 1):
-            out = c @ out
-        return out
-
-    cpow = {j: marker_power(j) for j in structure.level(level).runs}
+    cpow = {
+        j: cocycle_stack(structure.alpha0 * j, energies, pot)
+        for j in structure.level(level).runs
+    }
     block_mats = [cocycle_stack(e.core, energies, pot) for e in entries]
     marker_mats = [cpow[e.run] for e in entries]
     lengths = [e.length for e in entries]
@@ -957,8 +938,6 @@ def tower_pipeline(
 
     energies = grid_outside(interval, exclusions[0].j_set, accel_energies, margin=refine_tol)
     accel = acceleration_verify(structure, sched, pot, energies, 0, accel_r_max)
-
-    from .bands import spectrum_approximant  # local import to avoid a cycle
 
     approx = spectrum_approximant(spec, pot, approx_len, approx_sample_len)
     covering = covering_and_measure_check(

@@ -167,3 +167,154 @@ def test_config_validation():
         RunConfig({}).potential()
     with pytest.raises(ConfigError):
         RunConfig({"subshift": {"kind": "nope"}}).subshift()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [{"op": "frobnicate", "x": "x.csv"}, {"op": "measure"}],
+    ids=["unknown_op", "missing_x"],
+)
+def test_measure_config_errors(tmp_path, capsys, section):
+    (tmp_path / "x.csv").write_text("lo,hi\n0,1\n")
+    if "x" in section:
+        section["x"] = str(tmp_path / section["x"])
+    cfg_path = write_config(tmp_path, {"measure": section})
+    code = main(["measure", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"gird": 4097, "potential": {"a": 0.0}, "spectrum": {"word": "a"}}, "'gird'"),
+        ({"potential": {"a": 0.0}, "spectrum": {"word": "a", "wrod": "b"}}, "'wrod'"),
+    ],
+    ids=["top_level", "section"],
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, payload, key):
+    cfg_path = write_config(tmp_path, payload)
+    code = main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+    assert not (tmp_path / "o").exists()
+
+
+META_KEYS = {"config", "config_sha256", "seed", "tool_version"}
+
+
+def test_artifact_key_contract(tmp_path):
+    """Every JSON artifact key, nested records included.
+
+    Artifacts serialize result dataclasses field by field, so a new field
+    becomes a new key; this test makes such a change deliberate.
+    """
+    verify = {
+        "grid": 257,
+        "subshift": {"kind": "substitution", "rules": {"a": "ab", "b": "a"}, "seed_letter": "a"},
+        "potential": {"a": 0.0, "b": 400.0},
+        "tower": {"alpha0": "a"},
+        "suite": {"trials": 200},
+    }
+    code, out = run(tmp_path, "verify", verify)
+    assert code == 0
+
+    def load(name, keys):
+        d = json.loads((out / name).read_text())
+        assert set(d) == keys | META_KEYS, name
+        return d
+
+    structure = load("structure.json", {"alpha0", "levels"})
+    assert set(structure["levels"]) == {"0", "1"}
+    for lv in structure["levels"].values():
+        assert set(lv) == {"n_entries", "alphabet", "inf_l", "sup_l", "group_arity"}
+        assert all(set(e) == {"run", "core"} for e in lv["alphabet"])
+
+    schedule = load(
+        "schedule.json",
+        {"gamma", "gamma_prime", "c", "xi", "lam", "C", "P", "warnings", "levels", "checks"},
+    )
+    assert set(schedule["levels"]) == {"0", "1"}
+    for lv in schedule["levels"].values():
+        assert set(lv) == {
+            "N", "eta", "kappa", "log_kappa", "chi", "log_lam_bar", "lam_bar", "M",
+            "zeta", "log_zeta", "inf_l", "sup_l",
+        }
+    assert all(set(c) == {"name", "ok", "required", "detail"} for c in schedule["checks"])
+
+    for level in (0, 1):
+        excl = load(
+            f"exclusion_level_{level}.json",
+            {
+                "level", "kappa", "interval", "grid", "refine_tol", "triples", "Jn",
+                "measure", "C1_hat", "C5_hat", "warnings",
+            },
+        )
+        assert excl["triples"]
+        for t in excl["triples"]:
+            assert set(t) == {"alpha", "beta", "j", "intervals", "measure", "c1_hat", "c5_hat"}
+
+    load(
+        "acceleration.json",
+        {
+            "level", "r_max", "n_energies", "energies", "n_windows", "n_checks",
+            "hyper_violations", "drift_failures", "growth_chi_failures",
+            "growth_product_failures", "block_floor_failures", "worst_drift",
+            "worst_growth_margin", "block_chi_rate", "zeta", "chi_next", "all_passed",
+        },
+    )
+    load(
+        "covering.json",
+        {
+            "approx_measure", "residue", "residue_fraction", "covered", "dilation",
+            "jbar_measure", "c3_hat", "interval",
+        },
+    )
+    load(
+        "suite.json",
+        {
+            "trials", "tested", "excluded", "C0", "c_slack", "seed", "growth_failures",
+            "drift_failures", "non_hyperbolic", "worst_growth_ratio",
+            "worst_drift_over_ceiling", "all_passed",
+        },
+    )
+
+    decay = {
+        "subshift": {"kind": "substitution", "rules": {"a": "ab", "b": "a"}, "seed_letter": "a"},
+        "potential": {"a": 0.0, "b": 1.0},
+        "decay": {"lam_list": [10.0, 20.0, 40.0], "factor_len": 6, "sample_len": 512},
+    }
+    code, out = run(tmp_path, "decay", decay, out="decay")
+    assert code == 0
+    table = load(
+        "decay.json",
+        {"rows", "e0_letter", "H", "slope", "gamma_hat", "residual", "degenerate", "note"},
+    )
+    assert all(set(r) == {"lam", "factor_len", "measure"} for r in table["rows"])
+
+    adz = {
+        "seed": 11,
+        "potential": {"a": 0.0, "b": 1.0},
+        "adz": {
+            "k": 2, "eps": 0.5, "stages": 2, "n_cap": 100,
+            "complexity_l_max": 16, "complexity_sample_len": 64,
+        },
+    }
+    code, out = run(tmp_path, "adz", adz, out="adz")
+    report = load(
+        "adz.json",
+        {
+            "eps", "potential", "sigma1_measure", "final_measure", "retained_half",
+            "stages", "search_trace", "complexity",
+        },
+    )
+    for st in report["stages"]:
+        assert set(st) == {
+            "index", "n_words", "max_word_len", "words", "bands", "band_measure",
+            "chosen_N", "deficit", "budget",
+        }
+    assert report["search_trace"]
+    assert all(set(s) == {"stage", "N", "deficit"} for s in report["search_trace"])
+    assert set(report["complexity"]) == {"anchor_len", "C_hat", "exponent", "rows", "within_bound"}
+    assert all(set(r) == {"L", "p", "bound"} for r in report["complexity"]["rows"])
