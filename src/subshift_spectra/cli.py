@@ -172,6 +172,17 @@ SECTION_KEYS = {
 }
 
 
+def _list_of(kind):
+    """Converter of a JSON list whose items are each converted by ``kind``."""
+
+    def convert(value):
+        if not isinstance(value, list):
+            raise TypeError("not a list")
+        return [kind(x) for x in value]
+
+    return convert
+
+
 def _reject_unknown(obj: dict, known, where: str) -> None:
     unknown = sorted(set(obj) - set(known))
     if unknown:
@@ -186,30 +197,43 @@ class RunConfig:
             raise ConfigError("config root must be a JSON object")
         _reject_unknown(raw, TOP_KEYS.union(SECTION_KEYS), "config")
         for name, known in SECTION_KEYS.items():
-            if isinstance(raw.get(name), dict):
+            if name in raw:
+                if not isinstance(raw[name], dict):
+                    raise ConfigError(f"config section {name!r} must be an object")
                 _reject_unknown(raw[name], known, f"config section {name!r}")
         self.raw = raw
-        self.seed = int(raw.get("seed", 20260809))
-        self.gamma = float(raw.get("gamma", 0.1))
-        self.gamma_prime = float(raw.get("gamma_prime", 0.2))
-        self.c = float(raw.get("c", 1.0))
-        self.grid = int(raw.get("grid", 2049))
-        self.refine_tol = float(raw.get("refine_tol", 1e-7))
+        self.seed = self.get("seed", int, 20260809)
+        self.gamma = self.get("gamma", float, 0.1)
+        self.gamma_prime = self.get("gamma_prime", float, 0.2)
+        self.c = self.get("c", float, 1.0)
+        self.grid = self.get("grid", int, 2049)
+        self.refine_tol = self.get("refine_tol", float, 1e-7)
         for name in ("refine_tol",):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        c_raw = raw.get("C", None)
         self.consts = Constants(
-            H=float(raw.get("H", 3.0)),
-            cone_gap=float(raw.get("cone_gap", 3.0)),
-            cone_eps=float(raw.get("cone_eps", 0.5)),
-            P=int(raw.get("P", 3)),
-            C=None if c_raw is None else float(c_raw),
-            C_prime=float(raw.get("C_prime", 0.1)),
-            C2=float(raw.get("C2", 1.0)),
-            c_slack=float(raw.get("c_slack", 100.0)),
-            K_max=int(raw.get("K_max", 64)),
+            H=self.get("H", float, 3.0),
+            cone_gap=self.get("cone_gap", float, 3.0),
+            cone_eps=self.get("cone_eps", float, 0.5),
+            P=self.get("P", int, 3),
+            C=None if raw.get("C") is None else self.get("C", float),
+            C_prime=self.get("C_prime", float, 0.1),
+            C2=self.get("C2", float, 1.0),
+            c_slack=self.get("c_slack", float, 100.0),
+            K_max=self.get("K_max", int, 64),
         )
+
+    def get(self, path: str, kind, default=None):
+        """``kind(value)`` of the value at ``key`` or ``section.key``, or of
+        ``default`` when it is absent; a value ``kind`` rejects is a
+        ``ConfigError`` that names the key."""
+        *section, key = path.split(".")
+        value = (self.raw.get(section[0], {}) if section else self.raw).get(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            problem = "is missing or null" if value is None else f"has the wrong type: {value!r}"
+            raise ConfigError(f"config value {path!r} {problem}") from exc
 
     def section(self, name: str) -> dict:
         sec = self.raw.get(name)
@@ -223,7 +247,7 @@ class RunConfig:
             raise ConfigError("config needs a 'potential' object of letter -> value")
         try:
             return Potential({str(k): float(v) for k, v in sec.items()})
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def subshift(self) -> SubshiftSpec:
@@ -330,10 +354,10 @@ def _write_tower(cfg: RunConfig, out: Path, res: TowerResult) -> None:
 def _run_words(cfg: RunConfig, out: Path, log) -> int:
     sec = cfg.section("words")
     spec = cfg.subshift()
-    sample_len = int(sec.get("sample_len", 1024))
+    sample_len = cfg.get("words.sample_len", int, 1024)
     sample = sample_word(spec, sample_len)
     (out / "sample.txt").write_text(sample + "\n", encoding="utf-8", newline="\n")
-    lengths = [int(n) for n in sec.get("complexity_lengths", [1, 2, 4, 8, 16])]
+    lengths = cfg.get("words.complexity_lengths", _list_of(int), [1, 2, 4, 8, 16])
     rows = [[n, complexity(spec, n, sample_len)] for n in lengths]
     write_csv(out / "complexity.csv", ["n", "p"], rows)
     alphabet = sec.get("alphabet")
@@ -398,11 +422,11 @@ def _run_decay(cfg: RunConfig, out: Path, log) -> int:
     table = decay_sweep(
         spec,
         v_base,
-        [float(x) for x in sec["lam_list"]],
-        int(sec.get("factor_len", 13)),
+        cfg.get("decay.lam_list", _list_of(float)),
+        cfg.get("decay.factor_len", int, 13),
         str(sec.get("e0_letter", "a")),
         float(cfg.consts.H),
-        int(sec.get("sample_len", 4096)),
+        cfg.get("decay.sample_len", int, 4096),
     )
     rows = [[r.lam, r.factor_len, r.measure] for r in table.rows]
     write_csv(out / "decay.csv", ["lam", "factor_len", "measure"], rows)
@@ -415,21 +439,21 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
     sec = cfg.section("adz")
     pot = cfg.potential()
     run = adz_construct(
-        int(sec.get("k", 2)),
-        float(sec.get("eps", 0.5)),
+        cfg.get("adz.k", int, 2),
+        cfg.get("adz.eps", float, 0.5),
         pot,
-        int(sec.get("stages", 3)),
-        int(sec.get("n_cap", 10000)),
-        int(sec.get("n_floor", 4)),
-        int(sec.get("max_word_len", 2048)),
+        cfg.get("adz.stages", int, 3),
+        cfg.get("adz.n_cap", int, 10000),
+        cfg.get("adz.n_floor", int, 4),
+        cfg.get("adz.max_word_len", int, 2048),
     )
     growth = None
     if "complexity_l_max" in sec:
         growth = complexity_growth_check(
             run,
-            float(sec.get("eps", 0.5)),
-            int(sec["complexity_l_max"]),
-            int(sec.get("complexity_sample_len", 8192)),
+            cfg.get("adz.eps", float, 0.5),
+            cfg.get("adz.complexity_l_max", int),
+            cfg.get("adz.complexity_sample_len", int, 8192),
         )
     for st in run.stages:
         (out / f"stage_{st.index}.txt").write_text(
@@ -483,14 +507,14 @@ def _tower_result(cfg: RunConfig) -> TowerResult:
         gamma_prime=cfg.gamma_prime,
         c=cfg.c,
         consts=cfg.consts,
-        levels=int(sec.get("levels", 1)),
-        sample_len=int(sec.get("sample_len", 650)),
+        levels=cfg.get("tower.levels", int, 1),
+        sample_len=cfg.get("tower.sample_len", int, 650),
         grid=cfg.grid,
         refine_tol=cfg.refine_tol,
-        approx_len=int(sec.get("approx_len", 13)),
-        approx_sample_len=int(sec.get("approx_sample_len", 1024)),
-        accel_energies=int(sec.get("accel_energies", 64)),
-        accel_r_max=int(sec.get("accel_r_max", 5)),
+        approx_len=cfg.get("tower.approx_len", int, 13),
+        approx_sample_len=cfg.get("tower.approx_sample_len", int, 1024),
+        accel_energies=cfg.get("tower.accel_energies", int, 64),
+        accel_r_max=cfg.get("tower.accel_r_max", int, 5),
     )
 
 
@@ -514,18 +538,17 @@ def _run_verify(cfg: RunConfig, out: Path, log) -> int:
     write_json(out / "acceleration.json", {**accel_d, **meta})
     write_json(out / "covering.json", {**_record(res.covering, interval=res.interval), **meta})
 
-    sec = cfg.raw.get("suite", {})
     suite = scaled_product_suite(
-        int(sec.get("trials", 10000)),
-        float(sec.get("c0", 10.0)),
-        [float(x) for x in sec.get("lam_floors", [1000.0])],
+        cfg.get("suite.trials", int, 10000),
+        cfg.get("suite.c0", float, 10.0),
+        cfg.get("suite.lam_floors", _list_of(float), [1000.0]),
         cfg.seed,
         cfg.consts.c_slack,
     )
     suite_d = _record(suite, rename={"c0": "C0"}, all_passed=suite.all_passed)
     write_json(out / "suite.json", {**suite_d, **meta})
 
-    max_residue = float(cfg.section("tower").get("covering_max_residue_fraction", 1e-3))
+    max_residue = cfg.get("tower.covering_max_residue_fraction", float, 1e-3)
     required_fails = [c for c in res.schedule.failed_checks() if c.required]
     ok = (
         not required_fails

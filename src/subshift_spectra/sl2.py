@@ -1,6 +1,7 @@
 """SL(2,R) transfer-matrix kernel.
 
-Transfer matrices and their ordered cocycle products, the projective angle
+Transfer matrices and their ordered cocycle products (one vectorized
+two-row recurrence over an energy grid), the projective angle
 metric, the rotation-dilation-rotation (2x2 SVD) split of a hyperbolic
 matrix, closed-form growth/angle estimates for diagonally sandwiched
 products, and the cone certificate for far-from-resonance energies.
@@ -121,17 +122,17 @@ def cocycle_stack(word: Word, energies: np.ndarray, pot: Potential) -> np.ndarra
 
     This is the package's one loop that multiplies transfer matrices along a
     word: ``cocycle_product`` and the tower's marker-run powers call it too.
+    Left-multiplying [[a, b], [c, d]] by [[x, -1], [1, 0]], x = E - v, is the
+    two-row recurrence (a, b, c, d) -> (x a - c, x b - d, a, b), run here on
+    four arrays; x is computed once per letter of the alphabet.
     """
     e = np.asarray(energies, dtype=float)
-    out = np.zeros((e.size, 2, 2))
-    out[:, 0, 0] = out[:, 1, 1] = 1.0
-    step = np.zeros((e.size, 2, 2))
-    step[:, 0, 1] = -1.0
-    step[:, 1, 0] = 1.0
+    x = {ch: e - pot.value(ch) for ch in dict.fromkeys(word)}
+    a, b, c, d = np.ones(e.size), np.zeros(e.size), np.zeros(e.size), np.ones(e.size)
     for ch in word:
-        step[:, 0, 0] = e - pot.value(ch)
-        out = step @ out
-    return out
+        xs = x[ch]
+        a, b, c, d = xs * a - c, xs * b - d, a, b
+    return np.stack([a, b, c, d], axis=-1).reshape(e.size, 2, 2)
 
 
 # ---------------------------------------------------------------------------

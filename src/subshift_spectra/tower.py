@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -412,78 +412,6 @@ class ExclusionReport:
         return self.j_set.measure
 
 
-def _refine_boundaries(
-    member: Callable[[np.ndarray], np.ndarray],
-    false_pts: np.ndarray,
-    true_pts: np.ndarray,
-    tol: float,
-) -> np.ndarray:
-    """Vector bisection; returns the refined points on the non-member side."""
-    f = false_pts.astype(float).copy()
-    t = true_pts.astype(float).copy()
-    if f.size == 0:
-        return f
-    gap = float(np.max(np.abs(f - t)))
-    rounds = max(0, math.ceil(math.log2(max(gap / tol, 1.0))))
-    for _ in range(rounds):
-        mid = 0.5 * (f + t)
-        inside = member(mid)
-        t = np.where(inside, mid, t)
-        f = np.where(inside, f, mid)
-    return f
-
-
-def _membership_intervals(
-    member: Callable[[np.ndarray], np.ndarray],
-    grid_pts: np.ndarray,
-    grid_member: np.ndarray,
-    tol: float,
-) -> list[tuple[float, float]]:
-    """Sublevel components from grid membership plus bisection-refined edges.
-
-    Recorded endpoints sit on the outside of each component (conservative by
-    at most ``tol`` per side); components entirely between grid points are
-    missed, which is the documented grid resolution limit.
-    """
-    n = grid_pts.size
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        if grid_member[i]:
-            j = i
-            while j + 1 < n and grid_member[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    if not runs:
-        return []
-
-    lefts = [r for r in runs if r[0] > 0]
-    rights = [r for r in runs if r[1] < n - 1]
-    left_refined = _refine_boundaries(
-        member,
-        np.array([grid_pts[i0 - 1] for i0, _ in lefts]),
-        np.array([grid_pts[i0] for i0, _ in lefts]),
-        tol,
-    )
-    right_refined = _refine_boundaries(
-        member,
-        np.array([grid_pts[i1 + 1] for _, i1 in rights]),
-        np.array([grid_pts[i1] for _, i1 in rights]),
-        tol,
-    )
-    left_map = {r: v for r, v in zip(lefts, left_refined)}
-    right_map = {r: v for r, v in zip(rights, right_refined)}
-    out = []
-    for run in runs:
-        lo = left_map.get(run, grid_pts[0])
-        hi = right_map.get(run, grid_pts[-1])
-        out.append((float(lo), float(hi)))
-    return out
-
-
 def exclusion_sets(
     structure: ReturnStructure,
     level: int,
@@ -501,10 +429,17 @@ def exclusion_sets(
 
         g(E) = angle( R_(pi/2 - s(A^E(beta))) C^E_j R_(u(A^E(alpha))) e1, e2 ),
 
-    found by uniform sampling plus bisection refinement of each component
-    edge.  Energies where either core's cocycle is rotation-like are folded
-    into the exclusion (tangency is then undefined but hyperbolicity fails,
-    which is exactly what exclusion must cover).
+    found by uniform sampling per triple, then one bisection that refines
+    every component edge of every triple at once: each round evaluates each
+    distinct core and each marker power once, on the probes of all triples
+    that use it.  The edges of one (triple, side) run
+    ceil(log2(max gap / refine_tol)) rounds.  Recorded endpoints sit on the
+    outside of each component (conservative by at most ``refine_tol`` per
+    side); components entirely between grid points are missed, which is the
+    documented grid resolution limit.  Energies where either core's cocycle
+    is rotation-like are folded into the exclusion (tangency is then
+    undefined but hyperbolicity fails, which is exactly what exclusion must
+    cover).
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
@@ -537,25 +472,60 @@ def exclusion_sets(
         phi = np.arctan2(zy, zx) % PI
         return _dist_mod_pi(phi, PI / 2), phi
 
+    def member(e: np.ndarray, ai: np.ndarray, bi: np.ndarray, ji: np.ndarray) -> np.ndarray:
+        """Sublevel membership of each probe e[k] for the triple
+        (cores[ai[k]], cores[bi[k]], runs[ji[k]])."""
+        u_a, s_b, cpow = np.empty(e.size), np.empty(e.size), np.empty((e.size, 2, 2))
+        hyp = np.ones(e.size, dtype=bool)
+        for k, core in enumerate(cores):
+            use = (ai == k) | (bi == k)
+            if use.any():
+                u, s, _, h = core_frames(core, e[use])
+                u_a[ai == k] = u[ai[use] == k]
+                s_b[bi == k] = s[bi[use] == k]
+                hyp[use] &= h
+        for k, j in enumerate(runs):
+            use = ji == k
+            if use.any():
+                cpow[use] = cocycle_stack(structure.alpha0 * j, e[use], pot)
+        g, _ = gap_angle(u_a, s_b, cpow)
+        return np.where(hyp, g <= kappa, True)
+
     grid_pts = np.linspace(lo, hi, grid)
     cache = {core: core_frames(core, grid_pts) for core in cores}
     cpow_cache = {j: cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in runs}
 
-    triples: list[TripleExclusion] = []
-    all_pairs: list[tuple[float, float]] = []
+    scans = []  # (alpha, beta, j, component starts, component ends, c1, c5)
+    false_e, true_e, keys, rounds = [], [], [], []  # one entry per component edge
     c1_level = math.inf
     c5_level = 0.0
     de = grid_pts[1] - grid_pts[0]
     frame_delta = 1e-4  # probe size for the empirical frame-angle sensitivity
 
-    for alpha in cores:
-        for beta in cores:
+    for ai, alpha in enumerate(cores):
+        for bi, beta in enumerate(cores):
             u_a, _, _, hyp_a = cache[alpha]
             _, s_b, _, hyp_b = cache[beta]
             both = hyp_a & hyp_b
-            for j in runs:
+            for ji, j in enumerate(runs):
                 g, phi = gap_angle(u_a, s_b, cpow_cache[j])
                 grid_member = np.where(both, g <= kappa, True)
+                flips = np.diff(grid_member.astype(np.int8), prepend=0, append=0)
+                starts, ends = np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1
+                if starts.size > consts.triple_component_cap:
+                    raise RuntimeError(
+                        f"triple ({alpha!r}, {beta!r}, {j}) produced {starts.size} "
+                        f"components, above cap {consts.triple_component_cap}"
+                    )
+                left, right = starts[starts > 0], ends[ends < grid - 1]
+                for f_idx, t_idx in ((left - 1, left), (right + 1, right)):
+                    if t_idx.size:
+                        gap = float(np.max(np.abs(grid_pts[f_idx] - grid_pts[t_idx])))
+                        n_rounds = max(0, math.ceil(math.log2(max(gap / refine_tol, 1.0))))
+                        false_e.extend(grid_pts[f_idx])
+                        true_e.extend(grid_pts[t_idx])
+                        keys.extend([(ai, bi, ji)] * t_idx.size)
+                        rounds.extend([n_rounds] * t_idx.size)
 
                 # empirical Lipschitz constant of the composed angle under
                 # frame perturbations (the unnamed closeness constant):
@@ -567,29 +537,34 @@ def exclusion_sets(
                 ) / frame_delta
                 c5 = float(np.max(sens[both], initial=0.0))
                 c5_level = max(c5_level, c5)
-
-                def member(e: np.ndarray) -> np.ndarray:
-                    ua, _, _, ha = core_frames(alpha, e)
-                    _, sb, _, hb = core_frames(beta, e)
-                    gg, _ = gap_angle(ua, sb, cocycle_stack(structure.alpha0 * j, e, pot))
-                    return np.where(ha & hb, gg <= kappa, True)
-
-                pairs = _membership_intervals(member, grid_pts, grid_member, refine_tol)
-                if len(pairs) > consts.triple_component_cap:
-                    raise RuntimeError(
-                        f"triple ({alpha!r}, {beta!r}, {j}) produced {len(pairs)} "
-                        f"components, above cap {consts.triple_component_cap}"
-                    )
                 steps = _dist_mod_pi(phi[1:], phi[:-1])
                 valid = both[1:] & both[:-1]
                 c1 = float(np.min(steps[valid]) / de) if valid.any() else math.inf
                 c1_level = min(c1_level, c1)
-                triples.append(
-                    TripleExclusion(
-                        alpha, beta, j, IntervalSet.from_pairs(pairs), c1, c5
-                    )
-                )
-                all_pairs.extend(pairs)
+                scans.append((alpha, beta, j, starts, ends, c1, c5))
+
+    # bisect every edge; f stays outside its component and t inside
+    f, t = np.array(false_e, dtype=float), np.array(true_e, dtype=float)
+    rounds, keys = np.array(rounds, dtype=int), np.array(keys, dtype=int).reshape(-1, 3)
+    for r in range(rounds.max(initial=0)):
+        act = np.flatnonzero(rounds > r)
+        mid = 0.5 * (f[act] + t[act])
+        inside = member(mid, *keys[act].T)
+        t[act] = np.where(inside, mid, t[act])
+        f[act] = np.where(inside, f[act], mid)
+
+    triples: list[TripleExclusion] = []
+    all_pairs: list[tuple[float, float]] = []
+    pos = 0
+    for alpha, beta, j, starts, ends, c1, c5 in scans:
+        lo_pts, hi_pts = np.full(starts.size, grid_pts[0]), np.full(ends.size, grid_pts[-1])
+        for pts, has_edge in ((lo_pts, starts > 0), (hi_pts, ends < grid - 1)):
+            n_edges = int(has_edge.sum())
+            pts[has_edge] = f[pos : pos + n_edges]
+            pos += n_edges
+        pairs = list(zip(lo_pts.tolist(), hi_pts.tolist()))
+        triples.append(TripleExclusion(alpha, beta, j, IntervalSet.from_pairs(pairs), c1, c5))
+        all_pairs.extend(pairs)
 
     j_set = IntervalSet.from_pairs(all_pairs).clip(lo, hi)
     return ExclusionReport(
@@ -757,12 +732,11 @@ def acceleration_verify(
         raise ScheduleError(f"schedule must be advanced past level {level}")
     lv = sched.level(level)
     energies = np.asarray(energies, dtype=float)
-    entries = structure.level(level).entries
-    cpow = {
-        j: cocycle_stack(structure.alpha0 * j, energies, pot)
-        for j in structure.level(level).runs
-    }
-    block_mats = [cocycle_stack(e.core, energies, pot) for e in entries]
+    lvl = structure.level(level)
+    entries = lvl.entries
+    cpow = {j: cocycle_stack(structure.alpha0 * j, energies, pot) for j in lvl.runs}
+    core_mats = {core: cocycle_stack(core, energies, pot) for core in lvl.cores}
+    block_mats = [core_mats[e.core] for e in entries]
     marker_mats = [cpow[e.run] for e in entries]
     lengths = [e.length for e in entries]
 

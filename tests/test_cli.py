@@ -201,6 +201,27 @@ def test_unknown_config_key_rejected(tmp_path, capsys, payload, key):
     assert not (tmp_path / "o").exists()
 
 
+VERIFY_LAM400 = Path(__file__).resolve().parent.parent / "configs" / "acceptance_verify_lam400.json"
+
+
+@pytest.mark.parametrize(
+    "command, override, key",
+    [
+        ("spectrum", {"grid": "abc", "potential": {"a": 0.0}, "spectrum": {"word": "a"}}, "'grid'"),
+        ("verify", {"suite": [1]}, "'suite'"),
+    ],
+    ids=["grid_not_int", "suite_not_object"],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, override, key):
+    payload = json.loads(VERIFY_LAM400.read_text()) if command == "verify" else {}
+    cfg_path = write_config(tmp_path, {**payload, **override})
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+    assert not (tmp_path / "o").exists()
+
+
 META_KEYS = {"config", "config_sha256", "seed", "tool_version"}
 
 

@@ -8,6 +8,7 @@ from subshift_spectra.sl2 import (
     DegenerateAngleError,
     EllipticError,
     PI,
+    cocycle_stack,
     cone_certificate,
     peak_angle,
     proj_angle,
@@ -46,6 +47,41 @@ def test_cocycle_two_letter_against_direct_multiplication(pot04):
         # closed form [[ (E-4)E-1, -(E-4)], [E, -1]]
         assert got[0, 0] == (energy - 4.0) * energy - 1.0
         assert got[1, 0] == energy
+
+
+def _chain(word, energy, pot):
+    """Left-to-right chain of ``transfer_matrix`` products; ``energy`` may be
+    an array, whose entries then run independent scalar-identical chains."""
+    m = Mat2.IDENTITY
+    for ch in word:
+        m = transfer_matrix(energy, pot.value(ch)) @ m
+    return m
+
+
+@pytest.mark.parametrize("n_energies", [1, 2, 5, 2049])
+def test_cocycle_stack_bit_equal_to_scalar_chain(n_energies):
+    # the vectorized recurrence must agree bit for bit with chained transfer
+    # matrices, at every energy and for the empty word too
+    gen = rng(n_energies)
+    pots = {
+        "ab": Potential({"a": 0.0, "b": 4.0}),
+        "abc": Potential({"a": 0.0, "b": 2.5, "c": -1.75}),
+    }
+    for letters, pot in pots.items():
+        energies = gen.uniform(-4.0, 6.0, n_energies)
+        for length in (0, 90, *gen.integers(1, 90, 3)):
+            word = "".join(gen.choice(list(letters), length))
+            got = cocycle_stack(word, energies, pot)
+            assert got.shape == (n_energies, 2, 2)
+            if not word:
+                assert np.array_equal(got, np.broadcast_to(np.eye(2), got.shape))
+                continue
+            m = _chain(word, energies, pot)
+            for entry, (i, j) in zip((m.a, m.b, m.c, m.d), np.ndindex(2, 2)):
+                assert np.array_equal(got[:, i, j], np.broadcast_to(entry, n_energies))
+            for k in (0, n_energies - 1):  # plain Python floats
+                scalar = _chain(word, float(energies[k]), pot)
+                assert np.array_equal(got[k], scalar.as_array()), (word, energies[k])
 
 
 def test_cocycle_composition_order_convention(pot04):

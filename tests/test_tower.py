@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from subshift_spectra import FIBONACCI, IntervalSet, Periodic, Potential
-from subshift_spectra.sl2 import PI
+from subshift_spectra import tower as tower_module
+from subshift_spectra.sl2 import PI, cocycle_stack, svd_angles_stack
 from subshift_spectra.tower import (
     Constants,
     ScheduleError,
@@ -246,6 +247,122 @@ def test_exclusion_component_measure_bound(fib_result):
             bound = 2 * rep.kappa / t.c1_hat + 4 * rep.refine_tol
             for lo, hi in t.intervals:
                 assert hi - lo <= bound
+
+
+@pytest.fixture(scope="module")
+def abc_structure():
+    rs = return_structure(Periodic("abcbaabbcaab"), "a", 0, [], 240)
+    assert len(rs.level(0).cores) >= 3 and len(rs.level(0).runs) == 2
+    return rs
+
+
+ABC_POT = Potential({"a": 0.0, "b": 3.5, "c": -2.5})
+
+
+def _reference_triple_exclusions(structure, pot, kappa, grid, tol):
+    """Per-triple bisection: every probe recomputes both cores and the marker
+    power for one (alpha, beta, j), as exclusion_sets did before it batched
+    the refinement across triples."""
+    lv = structure.level(0)
+    grid_pts = np.linspace(-3.0, 3.0, grid)
+
+    def member(alpha, beta, j, e):
+        ua, _, _, ha = svd_angles_stack(cocycle_stack(alpha, e, pot))
+        _, sb, _, hb = svd_angles_stack(cocycle_stack(beta, e, pot))
+        cpow = cocycle_stack(structure.alpha0 * j, e, pot)
+        vx, vy = np.cos(ua), np.sin(ua)
+        wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
+        wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
+        rot = PI / 2 - sb
+        zx = np.cos(rot) * wx - np.sin(rot) * wy
+        zy = np.sin(rot) * wx + np.cos(rot) * wy
+        phi = np.arctan2(zy, zx) % PI
+        g = np.minimum(np.abs(phi - PI / 2) % PI, PI - np.abs(phi - PI / 2) % PI)
+        return np.where(ha & hb, g <= kappa, True)
+
+    def refine(inside, f, t):
+        if f.size == 0:
+            return f
+        rounds = max(0, math.ceil(math.log2(max(float(np.max(np.abs(f - t))) / tol, 1.0))))
+        for _ in range(rounds):
+            mid = 0.5 * (f + t)
+            ins = inside(mid)
+            t = np.where(ins, mid, t)
+            f = np.where(ins, f, mid)
+        return f
+
+    out = []
+    for alpha in lv.cores:
+        for beta in lv.cores:
+            for j in lv.runs:
+                inside = lambda e: member(alpha, beta, j, e)  # noqa: E731
+                on_grid = inside(grid_pts)
+                comps, i = [], 0
+                while i < grid:
+                    if on_grid[i]:
+                        k = i
+                        while k + 1 < grid and on_grid[k + 1]:
+                            k += 1
+                        comps.append((i, k))
+                        i = k + 1
+                    else:
+                        i += 1
+                lefts = [c for c in comps if c[0] > 0]
+                rights = [c for c in comps if c[1] < grid - 1]
+                lo = refine(inside, grid_pts[[c[0] - 1 for c in lefts]], grid_pts[[c[0] for c in lefts]])
+                hi = refine(inside, grid_pts[[c[1] + 1 for c in rights]], grid_pts[[c[1] for c in rights]])
+                lo_map, hi_map = dict(zip(lefts, lo)), dict(zip(rights, hi))
+                pairs = [
+                    (float(lo_map.get(c, grid_pts[0])), float(hi_map.get(c, grid_pts[-1])))
+                    for c in comps
+                ]
+                out.append((alpha, beta, j, IntervalSet.from_pairs(pairs)))
+    return out
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0])
+def test_batched_exclusion_equals_per_triple_bisection(abc_structure, kappa):
+    rep = exclusion_sets(abc_structure, 0, ABC_POT, kappa, (-3.0, 3.0), 257, 1e-6)
+    ref = _reference_triple_exclusions(abc_structure, ABC_POT, kappa, 257, 1e-6)
+    assert [(t.alpha, t.beta, t.j, t.intervals) for t in rep.triples] == ref
+    # the case exercises interior edges and components touching the window
+    assert sum(len(t.intervals) for t in rep.triples) > 2 * len(rep.triples)
+    assert any(lo == -3.0 or hi == 3.0 for t in rep.triples for lo, hi in t.intervals)
+
+
+def _count_cocycle_calls(monkeypatch):
+    calls = []
+
+    def counted(word, energies, pot):
+        calls.append(len(word))
+        return cocycle_stack(word, energies, pot)
+
+    monkeypatch.setattr(tower_module, "cocycle_stack", counted)
+    return calls
+
+
+def test_batched_exclusion_call_count(abc_structure, monkeypatch):
+    calls = _count_cocycle_calls(monkeypatch)
+    grid, tol = 257, 1e-6
+    rep = exclusion_sets(abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), grid, tol)
+    assert len(rep.triples) == 18 and sum(len(t.intervals) for t in rep.triples) > 36
+    lv = abc_structure.level(0)
+    rounds = math.ceil(math.log2(6.0 / (grid - 1) / tol))
+    assert len(calls) <= (len(lv.cores) + len(lv.runs)) * (rounds + 1)
+
+
+def test_component_cap_raised_before_bisection(abc_structure, monkeypatch):
+    calls = _count_cocycle_calls(monkeypatch)
+    lv = abc_structure.level(0)
+    with pytest.raises(
+        RuntimeError, match=r"triple \('bcb', 'bcb', 1\) produced 3 components, above cap 2"
+    ):
+        exclusion_sets(
+            abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), 257, 1e-6,
+            Constants(triple_component_cap=2),
+        )
+    # only the grid scan ran: one call per core and one per marker run
+    assert len(calls) == len(lv.cores) + len(lv.runs)
 
 
 # -- acceleration ------------------------------------------------------------

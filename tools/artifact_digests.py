@@ -1,0 +1,90 @@
+"""Print the sha256 digest of every artifact of a fixed set of CLI runs.
+
+The runs are the four shipped configs in ``configs/``, ``verify`` at
+b = 163.4 and 287.1 on the tower-bisect base config of
+``perfbench/workloads.json``, and one run each of ``tower``, ``words``,
+``spectrum`` and every ``measure`` op.  Each goes through ``cli.dispatch``
+into its own directory under one temporary directory; measure inputs are
+referenced by relative path, so every digest is independent of where the
+temporary directory lives.  Output is one ``sha256  relative/path`` line per
+artifact, sorted by path, so two checkouts write identical artifacts exactly
+when their outputs are equal:
+
+    python3 tools/artifact_digests.py > before.txt   # in one checkout
+    python3 tools/artifact_digests.py > after.txt    # in the other
+    diff before.txt after.txt
+
+Uses only the standard library and the package under ``src/``.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+sys.path.insert(0, str(ROOT / "src"))
+
+from subshift_spectra import cli  # noqa: E402
+
+SET_X = [(-2.5, -1.0), (0.0, 1.25), (3.0, 4.0)]
+SET_Y = [(-1.5, 0.5), (3.5, 6.0)]
+
+
+def runs() -> list[tuple[str, str, dict]]:
+    """(output name, command, config) of every run."""
+
+    def shipped(name: str) -> dict:
+        return json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+
+    lam400 = shipped("acceptance_verify_lam400.json")
+    out = [
+        ("verify200", "verify", shipped("acceptance_verify_lam200.json")),
+        ("verify400", "verify", lam400),
+        ("decay", "decay", shipped("acceptance_decay.json")),
+        ("adz", "adz", shipped("acceptance_adz.json")),
+        ("tower400", "tower", lam400),
+    ]
+    spec = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+    for b in (163.4, 287.1):
+        raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
+        raw["potential"]["b"] = b
+        out.append((f"verify_b{b}", "verify", raw))
+    fibonacci = {"kind": "substitution", "rules": {"a": "ab", "b": "a"}, "seed_letter": "a"}
+    words = {"sample_len": 1024, "complexity_lengths": [1, 2, 4, 8, 16], "alphabet": ["a", "b"]}
+    out.append(("words", "words", {"seed": 7, "subshift": fibonacci, "words": words}))
+    spectrum = {"seed": 7, "potential": {"a": 0.0, "b": 1.5}, "spectrum": {"word": "aab"}}
+    out.append(("spectrum", "spectrum", spectrum))
+    for op in ("union", "intersect", "difference", "subset", "measure", "dilate"):
+        y = 0.25 if op == "dilate" else "y.csv"
+        out.append((f"measure_{op}", "measure", {"seed": 7, "measure": {"op": op, "x": "x.csv", "y": y}}))
+    return out
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        os.chdir(work)
+        cli.write_csv(work / "x.csv", ["lo", "hi"], [list(p) for p in SET_X])
+        cli.write_csv(work / "y.csv", ["lo", "hi"], [list(p) for p in SET_Y])
+        outputs = work / "out"
+        for name, command, raw in runs():
+            code = cli.dispatch(command, cli.RunConfig(copy.deepcopy(raw)), outputs / name, quiet=True)
+            if code != 0:
+                print(f"{name}: {command} exited {code}", file=sys.stderr)
+        for path in sorted(p for p in outputs.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(outputs).as_posix()}")
+        os.chdir(ROOT)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
