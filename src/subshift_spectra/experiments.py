@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import periodic_bands, spectrum_approximant
+from .bands import periodic_bands
 from .intervals import IntervalSet
 from .sl2 import _dist_mod_pi, svd_angles_stack
 from .words import (
@@ -24,6 +24,7 @@ from .words import (
     Word,
     adz_next_stage,
     complexity,
+    factor_set,
     letter,
 )
 
@@ -106,11 +107,12 @@ def decay_sweep(
         raise ValueError("need at least three couplings")
     if len(set(v_base.values.values())) < 2:
         raise ValueError("base potential must be non-constant")
+    words = factor_set(spec, factor_len, sample_len)
     rows = []
     for lam in lam_list:
         pot = v_base.scale(lam)
         e0 = pot.value(e0_letter)
-        approx = spectrum_approximant(spec, pot, factor_len, sample_len)
+        approx = periodic_bands(words, pot)
         rows.append(DecayRow(lam, factor_len, approx.clip(e0 - h, e0 + h).measure))
     slope, gamma_hat, residual, degenerate = fit_decay(lam_list, [r.measure for r in rows])
     return DecayTable(rows, e0_letter, h, slope, gamma_hat, residual, degenerate)
@@ -224,10 +226,7 @@ def adz_construct(
 
 
 def _stage_bands(words: list[Word], pot: Potential) -> IntervalSet:
-    pairs: list[tuple[float, float]] = []
-    for w in words:
-        pairs.extend(periodic_bands(w, pot).intervals)
-    return IntervalSet.from_pairs(pairs)
+    return periodic_bands(words, pot)
 
 
 # ---------------------------------------------------------------------------

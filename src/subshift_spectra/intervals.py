@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 #: endpoints closer than this are considered touching and merged
 MERGE_TOL = 1e-12
 
@@ -43,18 +45,26 @@ class IntervalSet:
     def from_pairs(
         cls, pairs: Iterable[Sequence[float]], merge_tol: float = MERGE_TOL
     ) -> "IntervalSet":
-        """Canonicalize arbitrary [lo, hi] pairs: sort and merge touching ones."""
-        items = sorted((float(lo), float(hi)) for lo, hi in pairs)
-        for lo, hi in items:
-            if not lo <= hi:
-                raise ValueError(f"invalid interval [{lo}, {hi}]")
-        merged: list[list[float]] = []
-        for lo, hi in items:
-            if merged and lo <= merged[-1][1] + merge_tol:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged))
+        """Canonicalize arbitrary [lo, hi] pairs: sort and merge touching ones.
+
+        One sweep in (lo, hi) order, ties in input order: an interval starts
+        wherever lo exceeds the running max hi by more than ``merge_tol``, and
+        ends at the first maximal hi of its group (so -0.0 and 0.0 survive).
+        """
+        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=float)
+        if not arr.size:
+            return cls(())
+        lo, hi = arr.T
+        if np.count_nonzero(lo <= hi) < lo.size:
+            bad = np.flatnonzero(~(lo <= hi))[0]
+            raise ValueError(f"invalid interval [{lo[bad]}, {hi[bad]}]")
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        run = np.maximum.accumulate(hi)
+        start = np.flatnonzero(np.concatenate(([True], lo[1:] > run[:-1] + merge_tol)))
+        # run only grows from one group to the next: first index reaching each group max
+        top = np.searchsorted(run, np.maximum.reduceat(hi, start))
+        return cls(tuple(zip(lo[start].tolist(), hi[top].tolist())))
 
     # -- queries -----------------------------------------------------------
 

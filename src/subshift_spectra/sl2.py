@@ -117,21 +117,24 @@ def cocycle_product(word: Word, energy: float, pot: Potential) -> Mat2:
     return Mat2.from_array(cocycle_stack(word, np.array([energy]), pot)[0])
 
 
-def cocycle_stack(word: Word, energies: np.ndarray, pot: Potential) -> np.ndarray:
-    """Ordered cocycle products over an energy grid; shape (len(E), 2, 2).
+def cocycle_rows(xs: Iterable[np.ndarray], shape) -> tuple[np.ndarray, ...]:
+    """Entries (a, b, c, d) of the ordered product of [[x, -1], [1, 0]] over ``xs``.
 
-    This is the package's one loop that multiplies transfer matrices along a
-    word: ``cocycle_product`` and the tower's marker-run powers call it too.
-    Left-multiplying [[a, b], [c, d]] by [[x, -1], [1, 0]], x = E - v, is the
-    two-row recurrence (a, b, c, d) -> (x a - c, x b - d, a, b), run here on
-    four arrays; x is computed once per letter of the alphabet.
+    The package's one loop that multiplies transfer matrices: left-multiplying
+    by [[x, -1], [1, 0]] is the two-row recurrence (a, b, c, d) -> (x a - c,
+    x b - d, a, b), run on arrays of ``shape`` (x = E - v per letter).
     """
+    a, b, c, d = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    for x in xs:
+        a, b, c, d = x * a - c, x * b - d, a, b
+    return a, b, c, d
+
+
+def cocycle_stack(word: Word, energies: np.ndarray, pot: Potential) -> np.ndarray:
+    """Ordered cocycle products over an energy grid; shape (len(E), 2, 2)."""
     e = np.asarray(energies, dtype=float)
     x = {ch: e - pot.value(ch) for ch in dict.fromkeys(word)}
-    a, b, c, d = np.ones(e.size), np.zeros(e.size), np.zeros(e.size), np.ones(e.size)
-    for ch in word:
-        xs = x[ch]
-        a, b, c, d = xs * a - c, xs * b - d, a, b
+    a, b, c, d = cocycle_rows((x[ch] for ch in word), e.size)
     return np.stack([a, b, c, d], axis=-1).reshape(e.size, 2, 2)
 
 

@@ -458,17 +458,19 @@ def exclusion_sets(
         mats = cocycle_stack(core, energies, pot)
         return svd_angles_stack(mats)
 
+    def trig(u_a: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, ...]:
+        """cos, sin of the alpha frame angle u_a and of the rotation pi/2 - s_b."""
+        return np.cos(u_a), np.sin(u_a), np.cos(PI / 2 - s_b), np.sin(PI / 2 - s_b)
+
     def gap_angle(
-        u_a: np.ndarray, s_b: np.ndarray, cpow: np.ndarray
+        vx: np.ndarray, vy: np.ndarray, cr: np.ndarray, sr: np.ndarray, cpow: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(g, phi): distance of the composed frame vector to e2, and its
-        raw projective angle (for derivative estimates)."""
-        vx, vy = np.cos(u_a), np.sin(u_a)
+        raw projective angle (for derivative estimates), from ``trig``."""
         wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
         wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
-        rot = PI / 2 - s_b
-        zx = np.cos(rot) * wx - np.sin(rot) * wy
-        zy = np.sin(rot) * wx + np.cos(rot) * wy
+        zx = cr * wx - sr * wy
+        zy = sr * wx + cr * wy
         phi = np.arctan2(zy, zx) % PI
         return _dist_mod_pi(phi, PI / 2), phi
 
@@ -488,27 +490,31 @@ def exclusion_sets(
             use = ji == k
             if use.any():
                 cpow[use] = cocycle_stack(structure.alpha0 * j, e[use], pot)
-        g, _ = gap_angle(u_a, s_b, cpow)
+        g, _ = gap_angle(*trig(u_a, s_b), cpow)
         return np.where(hyp, g <= kappa, True)
 
     grid_pts = np.linspace(lo, hi, grid)
     cache = {core: core_frames(core, grid_pts) for core in cores}
     cpow_cache = {j: cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in runs}
+    frame_delta = 1e-4  # probe size for the empirical frame-angle sensitivity
+    # frame trigonometry on the grid, plain and shifted by frame_delta: once per core
+    trigs = {
+        c: (trig(u, s), trig(u + frame_delta, s + frame_delta)) for c, (u, s, _, _) in cache.items()
+    }
 
     scans = []  # (alpha, beta, j, component starts, component ends, c1, c5)
     false_e, true_e, keys, rounds = [], [], [], []  # one entry per component edge
     c1_level = math.inf
     c5_level = 0.0
     de = grid_pts[1] - grid_pts[0]
-    frame_delta = 1e-4  # probe size for the empirical frame-angle sensitivity
 
     for ai, alpha in enumerate(cores):
         for bi, beta in enumerate(cores):
-            u_a, _, _, hyp_a = cache[alpha]
-            _, s_b, _, hyp_b = cache[beta]
-            both = hyp_a & hyp_b
+            (vx, vy, _, _), (vx_d, vy_d, _, _) = trigs[alpha]
+            (_, _, cr, sr), (_, _, cr_d, sr_d) = trigs[beta]
+            both = cache[alpha][3] & cache[beta][3]
             for ji, j in enumerate(runs):
-                g, phi = gap_angle(u_a, s_b, cpow_cache[j])
+                g, phi = gap_angle(vx, vy, cr, sr, cpow_cache[j])
                 grid_member = np.where(both, g <= kappa, True)
                 flips = np.diff(grid_member.astype(np.int8), prepend=0, append=0)
                 starts, ends = np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1
@@ -530,8 +536,8 @@ def exclusion_sets(
                 # empirical Lipschitz constant of the composed angle under
                 # frame perturbations (the unnamed closeness constant):
                 # perturb u and s separately and take the worst rate
-                _, phi_u = gap_angle(u_a + frame_delta, s_b, cpow_cache[j])
-                _, phi_s = gap_angle(u_a, s_b + frame_delta, cpow_cache[j])
+                _, phi_u = gap_angle(vx_d, vy_d, cr, sr, cpow_cache[j])
+                _, phi_s = gap_angle(vx, vy, cr_d, sr_d, cpow_cache[j])
                 sens = np.maximum(
                     _dist_mod_pi(phi_u, phi), _dist_mod_pi(phi_s, phi)
                 ) / frame_delta

@@ -45,3 +45,25 @@ def de_bruijn(order: int) -> str:
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def sequential_merge(pairs, merge_tol: float = 1e-12) -> tuple:
+    """Reference canonical form: the pair-by-pair sweep ``IntervalSet.from_pairs``
+    ran before it became one array sweep (sort, validate, then extend or open
+    an interval per pair)."""
+    items = sorted((float(lo), float(hi)) for lo, hi in pairs)
+    for lo, hi in items:
+        if not lo <= hi:
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
+    merged: list[list[float]] = []
+    for lo, hi in items:
+        if merged and lo <= merged[-1][1] + merge_tol:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def endpoint_reprs(intervals) -> list[str]:
+    """repr of every endpoint: tells -0.0 from 0.0, which ``==`` does not."""
+    return [repr(x) for pair in intervals for x in pair]

@@ -13,10 +13,11 @@ from subshift_spectra import (
     periodic_bands,
     spectrum_approximant,
 )
-from subshift_spectra.bands import discriminant_curve
+from subshift_spectra import bands
+from subshift_spectra.bands import BandComputationError, discriminant_curve
 from subshift_spectra.words import FIBONACCI
 
-from conftest import rng
+from conftest import endpoint_reprs, rng, sequential_merge
 
 
 def test_discriminant_examples(pot04, pot_free):
@@ -145,3 +146,108 @@ def test_cone_certified_outside_envelope():
     for lo, hi in window.difference(env):
         for e in np.linspace(lo + 1e-9, hi - 1e-9, 25):
             assert cone_certificate(float(e), pot, None, 0.5, 3.0)
+
+
+# -- batched factor sets -------------------------------------------------------
+
+
+def _reference_bands(words, pot) -> tuple:
+    """Band union computed word by word, as before batching: two eigvalsh
+    calls per word on its wrapped Jacobi matrices, then the pair-by-pair
+    merge of each word's bands and of their union."""
+    pairs = []
+    for word in words:
+        q = len(word)
+        diag = np.array([pot.value(ch) for ch in word], dtype=float)
+        eigs = []
+        for wrap in (1.0, -1.0):
+            h = np.diag(diag)
+            if q == 1:
+                h[0, 0] += 2.0 * wrap
+            elif q == 2:
+                h[0, 1] = h[1, 0] = 1.0 + wrap
+            else:
+                i = np.arange(q - 1)
+                h[i, i + 1] = h[i + 1, i] = 1.0
+                h[0, q - 1] = h[q - 1, 0] = wrap
+            eigs.append(np.linalg.eigvalsh(h))
+        edges = np.sort(np.concatenate(eigs))
+        raw = [(float(edges[2 * i]), float(edges[2 * i + 1])) for i in range(q)]
+        pairs.extend(sequential_merge(raw))
+    return sequential_merge(pairs)
+
+
+def _random_words(g, length: int, count: int, alphabet: str = "ab") -> list[str]:
+    return sorted({"".join(g.choice(list(alphabet), length)) for _ in range(count)})
+
+
+@pytest.mark.parametrize("stack_elements", [bands.STACK_ELEMENTS, 40])
+@pytest.mark.parametrize("lam", [1.0, 10.0, 80.0])
+def test_batched_bands_equal_word_by_word(lam, stack_elements, monkeypatch):
+    # a budget of 40 entries stacks at most four words of length 3 and
+    # one of length 13 or 40 at a time
+    monkeypatch.setattr(bands, "STACK_ELEMENTS", stack_elements)
+    g = rng(int(lam) + 7)
+    pot = Potential({"a": 0.0, "b": lam})
+    sets = {q: _random_words(g, q, 40) for q in (1, 2, 3, 13, 40)}
+    mixed = [w for q in (13, 1, 40, 3, 2) for w in sets[q][::3]]
+    g.shuffle(mixed)
+    three = _random_words(g, 5, 30, "abc")
+    cases = [(ws, pot) for ws in sets.values()] + [(mixed, pot)]
+    cases.append((three, Potential({"a": 0.0, "b": lam, "c": -0.5 * lam})))
+    for words, p in cases:
+        got = periodic_bands(words, p).intervals
+        want = _reference_bands(words, p)
+        assert got == want
+        assert endpoint_reprs(got) == endpoint_reprs(want)
+
+
+def test_str_argument_is_one_word(pot04):
+    assert periodic_bands("ab", pot04) == periodic_bands(["ab"], pot04)
+    assert periodic_bands("ab", pot04) != periodic_bands(["a", "b"], pot04)
+    assert periodic_bands([], pot04) == IntervalSet.empty()
+    with pytest.raises(ValueError):
+        periodic_bands(["ab", ""], pot04)
+
+
+@pytest.mark.parametrize(
+    "words, broken, named",
+    [
+        # the two failing words sit in different length groups; the error
+        # names the earlier one in the input, whichever group is solved first
+        (["aab", "aaab", "bab", "abab"], {"bab", "abab"}, "bab"),
+        (["aab", "abab", "bab"], {"bab", "abab"}, "abab"),
+    ],
+)
+def test_batch_check_failure_names_first_failing_word(words, broken, named, monkeypatch):
+    pot = Potential({"a": 0.0, "b": 3.0})
+    real = np.linalg.eigvalsh
+
+    def shifted(h, *args, **kwargs):
+        # move the lowest eigenvalue of each broken word into its band
+        out = real(h, *args, **kwargs).copy()
+        for word in broken:
+            if h.shape[-1] == len(word):
+                row = np.all(np.diagonal(h, axis1=1, axis2=2) == [pot.value(c) for c in word], 1)
+                out[row, 0] += 1e-3
+        return out
+
+    monkeypatch.setattr(bands.np.linalg, "eigvalsh", shifted)
+    with pytest.raises(BandComputationError, match=f"band edge of word {named!r}"):
+        periodic_bands(words, pot)
+    # each broken word alone fails; the others pass
+    for word in words:
+        if word in broken:
+            with pytest.raises(BandComputationError, match=repr(word)):
+                periodic_bands(word, pot)
+        else:
+            periodic_bands(word, pot)
+
+
+def test_batch_eigensolve_failure_is_a_band_error(pot04, monkeypatch):
+    def fail(h, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(bands.np.linalg, "eigvalsh", fail)
+    with pytest.raises(BandComputationError, match="'ab'"):
+        periodic_bands(["ab", "ba"], pot04)

@@ -1,8 +1,13 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subshift_spectra import IntervalSet, interval_algebra
+from subshift_spectra.intervals import MERGE_TOL
 
-from conftest import rng
+from conftest import endpoint_reprs, rng, sequential_merge
 
 
 def make(*pairs):
@@ -102,3 +107,49 @@ def test_interval_algebra_dispatch():
     assert interval_algebra("measure", x, None) == 1.0
     with pytest.raises(ValueError):
         interval_algebra("xor", x, y)
+
+
+# -- properties ----------------------------------------------------------------
+
+# endpoints with exact ties, signed zeros and gaps just inside and just
+# outside MERGE_TOL of their neighbours
+_POINTS = [-2.0, -1.0, -1e-12, -0.0, 0.0, 5e-13, 1e-12, 2e-12, 1.0, 1.0 + 5e-13, 1.0 + 3e-12, 2.5]
+_point = st.one_of(st.sampled_from(_POINTS), st.floats(-4.0, 4.0, allow_nan=False))
+_pair = st.tuples(_point, _point).map(lambda p: tuple(sorted(p)))
+_pairs = st.lists(_pair, max_size=12)
+_PROPS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@_PROPS
+@given(_pairs, st.sampled_from([MERGE_TOL, 0.0]))
+@example([(-0.0, 1.0), (0.0, 0.5)], 0.0)  # equal lo: the smaller hi sorts first
+@example([(-1.0, -0.0), (-0.5, 0.0)], 0.0)  # equal maximal hi: the first one ends
+@example([(0.0, 0.0), (-0.0, -0.0)], MERGE_TOL)  # equal pairs keep input order
+def test_from_pairs_equals_sequential_merge(pairs, merge_tol):
+    got = IntervalSet.from_pairs(pairs, merge_tol=merge_tol).intervals
+    want = sequential_merge(pairs, merge_tol)
+    assert got == want
+    assert endpoint_reprs(got) == endpoint_reprs(want)
+
+
+@_PROPS
+@given(_pairs, st.integers(0, 12), st.sampled_from([(1.0, 0.5), (math.nan, 1.0), (0.0, math.nan)]))
+def test_from_pairs_rejects_reversed_and_nan(pairs, pos, bad):
+    with pytest.raises(ValueError):
+        IntervalSet.from_pairs(pairs[:pos] + [bad] + pairs[pos:])
+
+
+# endpoints on a 1/64 grid, so every measure below is exact
+_grid_pair = st.tuples(st.integers(-128, 128), st.integers(0, 64)).map(
+    lambda p: (p[0] / 64.0, (p[0] + p[1]) / 64.0)
+)
+_grid_set = st.lists(_grid_pair, max_size=6).map(IntervalSet.from_pairs)
+
+
+@_PROPS
+@given(_grid_set, _grid_set)
+def test_intersect_and_difference_partition(x, y):
+    inside, outside = x.intersect(y), x.difference(y)
+    assert inside.measure + outside.measure == x.measure
+    assert inside.intersect(outside).measure == 0.0
+    assert inside.subset_of(x) and outside.subset_of(x)

@@ -2,8 +2,10 @@
 
 The runs are the four shipped configs in ``configs/``, ``verify`` at
 b = 163.4 and 287.1 on the tower-bisect base config of
-``perfbench/workloads.json``, and one run each of ``tower``, ``words``,
-``spectrum`` and every ``measure`` op.  Each goes through ``cli.dispatch``
+``perfbench/workloads.json``, ``decay`` on its spectra base config with a
+seeded random 4,096-letter sample word (a factor set of about 3,200 words,
+where the shipped Fibonacci config has 14), and one run each of ``tower``,
+``words``, ``spectrum`` and every ``measure`` op.  Each goes through ``cli.dispatch``
 into its own directory under one temporary directory; measure inputs are
 referenced by relative path, so every digest is independent of where the
 temporary directory lives.  Output is one ``sha256  relative/path`` line per
@@ -23,6 +25,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -57,6 +60,10 @@ def runs() -> list[tuple[str, str, dict]]:
         raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
         raw["potential"]["b"] = b
         out.append((f"verify_b{b}", "verify", raw))
+    sample = random.Random("artifact-digests:decay")
+    raw = copy.deepcopy(spec["workloads"]["spectra"]["base_config"])
+    raw["subshift"]["word"] = "".join(sample.choice("ab") for _ in range(4096))
+    out.append(("decay_sample", "decay", raw))
     fibonacci = {"kind": "substitution", "rules": {"a": "ab", "b": "a"}, "seed_letter": "a"}
     words = {"sample_len": 1024, "complexity_lengths": [1, 2, 4, 8, 16], "alphabet": ["a", "b"]}
     out.append(("words", "words", {"seed": 7, "subshift": fibonacci, "words": words}))
