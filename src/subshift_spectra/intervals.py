@@ -119,19 +119,22 @@ class IntervalSet:
         return IntervalSet.from_pairs(out, merge_tol=0.0)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Closure of the set difference (kept as closed intervals)."""
+        """Closure of the set difference (kept as closed intervals).
+
+        An interval that no interval of ``other`` meets is kept whole, a
+        point interval included."""
         out = []
         for lo, hi in self.intervals:
-            cursor = lo
+            cursor, cut = lo, False
             for olo, ohi in other.intervals:
                 if ohi < cursor or olo > hi:
                     continue
                 if olo > cursor:
                     out.append((cursor, olo))
-                cursor = max(cursor, ohi)
+                cursor, cut = max(cursor, ohi), True
                 if cursor >= hi:
                     break
-            if cursor < hi:
+            if cursor < hi or not cut:
                 out.append((cursor, hi))
         return IntervalSet.from_pairs(out, merge_tol=0.0)
 

@@ -28,6 +28,9 @@ from .words import Potential, ReturnStructure, SubshiftSpec, Word, return_struct
 
 PI = math.pi
 
+#: 2x2 matrices in one stack of acceleration windows; bounds the memory of a batch
+WINDOW_MATRICES = 2048
+
 
 class ScheduleError(ValueError):
     """A schedule precondition or recursion failed; the message names it."""
@@ -429,7 +432,9 @@ def exclusion_sets(
 
         g(E) = angle( R_(pi/2 - s(A^E(beta))) C^E_j R_(u(A^E(alpha))) e1, e2 ),
 
-    found by uniform sampling per triple, then one bisection that refines
+    found by uniform sampling, one (cores, grid) pass per alpha core and
+    marker-run length that covers every beta core at once (per energy the
+    arithmetic of a scan per triple), then one bisection that refines
     every component edge of every triple at once: each round evaluates each
     distinct core and each marker power once, on the probes of all triples
     that use it.  The edges of one (triple, side) run
@@ -458,21 +463,21 @@ def exclusion_sets(
         mats = cocycle_stack(core, energies, pot)
         return svd_angles_stack(mats)
 
-    def trig(u_a: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, ...]:
-        """cos, sin of the alpha frame angle u_a and of the rotation pi/2 - s_b."""
-        return np.cos(u_a), np.sin(u_a), np.cos(PI / 2 - s_b), np.sin(PI / 2 - s_b)
+    def unit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.cos(t), np.sin(t)
 
-    def gap_angle(
-        vx: np.ndarray, vy: np.ndarray, cr: np.ndarray, sr: np.ndarray, cpow: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(g, phi): distance of the composed frame vector to e2, and its
-        raw projective angle (for derivative estimates), from ``trig``."""
-        wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
-        wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
+    def push(vx: np.ndarray, vy: np.ndarray, cpow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The marker power C^E_j applied to the alpha frame vector (vx, vy)."""
+        return cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy, cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
+
+    def frame_angle(
+        wx: np.ndarray, wy: np.ndarray, cr: np.ndarray, sr: np.ndarray
+    ) -> np.ndarray:
+        """Raw projective angle phi of R_(pi/2 - s_b) (wx, wy), with (cr, sr) the
+        cosine and sine of pi/2 - s_b; g is its distance to pi/2."""
         zx = cr * wx - sr * wy
         zy = sr * wx + cr * wy
-        phi = np.arctan2(zy, zx) % PI
-        return _dist_mod_pi(phi, PI / 2), phi
+        return np.arctan2(zy, zx) % PI
 
     def member(e: np.ndarray, ai: np.ndarray, bi: np.ndarray, ji: np.ndarray) -> np.ndarray:
         """Sublevel membership of each probe e[k] for the triple
@@ -490,68 +495,86 @@ def exclusion_sets(
             use = ji == k
             if use.any():
                 cpow[use] = cocycle_stack(structure.alpha0 * j, e[use], pot)
-        g, _ = gap_angle(*trig(u_a, s_b), cpow)
-        return np.where(hyp, g <= kappa, True)
+        phi = frame_angle(*push(*unit(u_a), cpow), *unit(PI / 2 - s_b))
+        return np.where(hyp, _dist_mod_pi(phi, PI / 2) <= kappa, True)
 
+    def n_rounds(gap: float) -> int:
+        return max(0, math.ceil(math.log2(max(gap / refine_tol, 1.0))))
+
+    n_cores = len(cores)
     grid_pts = np.linspace(lo, hi, grid)
-    cache = {core: core_frames(core, grid_pts) for core in cores}
-    cpow_cache = {j: cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in runs}
+    frames = [core_frames(core, grid_pts) for core in cores]
+    cpows = [cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in runs]
     frame_delta = 1e-4  # probe size for the empirical frame-angle sensitivity
-    # frame trigonometry on the grid, plain and shifted by frame_delta: once per core
-    trigs = {
-        c: (trig(u, s), trig(u + frame_delta, s + frame_delta)) for c, (u, s, _, _) in cache.items()
-    }
-
-    scans = []  # (alpha, beta, j, component starts, component ends, c1, c5)
-    false_e, true_e, keys, rounds = [], [], [], []  # one entry per component edge
-    c1_level = math.inf
-    c5_level = 0.0
+    hyp = np.array([h for *_, h in frames])
+    s_all = np.array([s for _, s, _, _ in frames])
+    # (cores, grid) rotations by pi/2 - s of every beta core, plain and with s
+    # shifted by frame_delta
+    cr, sr = unit(PI / 2 - s_all)
+    cr_d, sr_d = unit(PI / 2 - (s_all + frame_delta))
     de = grid_pts[1] - grid_pts[0]
 
-    for ai, alpha in enumerate(cores):
-        for bi, beta in enumerate(cores):
-            (vx, vy, _, _), (vx_d, vy_d, _, _) = trigs[alpha]
-            (_, _, cr, sr), (_, _, cr_d, sr_d) = trigs[beta]
-            both = cache[alpha][3] & cache[beta][3]
-            for ji, j in enumerate(runs):
-                g, phi = gap_angle(vx, vy, cr, sr, cpow_cache[j])
-                grid_member = np.where(both, g <= kappa, True)
-                flips = np.diff(grid_member.astype(np.int8), prepend=0, append=0)
-                starts, ends = np.flatnonzero(flips == 1), np.flatnonzero(flips == -1) - 1
-                if starts.size > consts.triple_component_cap:
-                    raise RuntimeError(
-                        f"triple ({alpha!r}, {beta!r}, {j}) produced {starts.size} "
-                        f"components, above cap {consts.triple_component_cap}"
-                    )
-                left, right = starts[starts > 0], ends[ends < grid - 1]
-                for f_idx, t_idx in ((left - 1, left), (right + 1, right)):
-                    if t_idx.size:
-                        gap = float(np.max(np.abs(grid_pts[f_idx] - grid_pts[t_idx])))
-                        n_rounds = max(0, math.ceil(math.log2(max(gap / refine_tol, 1.0))))
-                        false_e.extend(grid_pts[f_idx])
-                        true_e.extend(grid_pts[t_idx])
-                        keys.extend([(ai, bi, ji)] * t_idx.size)
-                        rounds.extend([n_rounds] * t_idx.size)
+    def scan(
+        vx: np.ndarray, vy: np.ndarray, vx_d: np.ndarray, vy_d: np.ndarray,
+        both: np.ndarray, cpow: np.ndarray,
+    ) -> tuple:
+        """One pass over every beta core for one alpha frame (vx, vy), shifted
+        frame (vx_d, vy_d) and marker power: row b of each (cores, grid) array belongs to the triple
+        (alpha, cores[b], j).  Returns the components as (row, start, end)
+        arrays in row order and c1, c5 per row."""
+        wx, wy = push(vx, vy, cpow)
+        phi = frame_angle(wx, wy, cr, sr)
+        grid_member = np.where(both, _dist_mod_pi(phi, PI / 2) <= kappa, True)
+        flips = np.diff(grid_member.astype(np.int8), axis=1, prepend=0, append=0)
+        rows, starts = np.nonzero(flips == 1)
+        ends = np.nonzero(flips == -1)[1] - 1
 
-                # empirical Lipschitz constant of the composed angle under
-                # frame perturbations (the unnamed closeness constant):
-                # perturb u and s separately and take the worst rate
-                _, phi_u = gap_angle(vx_d, vy_d, cr, sr, cpow_cache[j])
-                _, phi_s = gap_angle(vx, vy, cr_d, sr_d, cpow_cache[j])
-                sens = np.maximum(
-                    _dist_mod_pi(phi_u, phi), _dist_mod_pi(phi_s, phi)
-                ) / frame_delta
-                c5 = float(np.max(sens[both], initial=0.0))
-                c5_level = max(c5_level, c5)
-                steps = _dist_mod_pi(phi[1:], phi[:-1])
-                valid = both[1:] & both[:-1]
-                c1 = float(np.min(steps[valid]) / de) if valid.any() else math.inf
-                c1_level = min(c1_level, c1)
-                scans.append((alpha, beta, j, starts, ends, c1, c5))
+        # empirical Lipschitz constant of the composed angle under
+        # frame perturbations (the unnamed closeness constant):
+        # perturb u and s separately and take the worst rate
+        sens = np.maximum(
+            _dist_mod_pi(frame_angle(*push(vx_d, vy_d, cpow), cr, sr), phi),
+            _dist_mod_pi(frame_angle(wx, wy, cr_d, sr_d), phi),
+        ) / frame_delta
+        c5 = np.max(np.where(both, sens, 0.0), axis=1, initial=0.0)
+        steps = _dist_mod_pi(phi[:, 1:], phi[:, :-1])
+        valid = both[:, 1:] & both[:, :-1]
+        c1 = np.min(np.where(valid, steps, np.inf), axis=1) / de
+        return rows, starts, ends, c1.tolist(), c5.tolist()
+
+    scans = {}  # (ai, ji) -> component rows, starts, ends, edge offsets, c1 and c5 per row
+    false_e, true_e, keys, rounds = [], [], [], []  # one array per block side, entry per edge
+    n_edges = 0
+    for ai, alpha in enumerate(cores):
+        u_a = frames[ai][0]
+        (vx, vy), (vx_d, vy_d) = unit(u_a), unit(u_a + frame_delta)
+        both = hyp[ai] & hyp
+        per_run = [scan(vx, vy, vx_d, vy_d, both, cpow) for cpow in cpows]
+        counts = np.array([np.bincount(rows, minlength=n_cores) for rows, *_ in per_run]).T
+        if counts.max() > consts.triple_component_cap:
+            bi, ji = np.unravel_index(np.argmax(counts > consts.triple_component_cap), counts.shape)
+            raise RuntimeError(
+                f"triple ({alpha!r}, {cores[bi]!r}, {runs[ji]}) produced {counts[bi, ji]} "
+                f"components, above cap {consts.triple_component_cap}"
+            )
+        for ji, (rows, starts, ends, c1, c5) in enumerate(per_run):
+            offsets = []
+            sides = ((starts > 0, starts - 1, starts), (ends < grid - 1, ends + 1, ends))
+            for has, f_idx, t_idx in sides:
+                r_e, f_idx, t_idx = rows[has], f_idx[has], t_idx[has]
+                gap = np.zeros(n_cores)  # largest bracket per (triple, side)
+                np.maximum.at(gap, r_e, np.abs(grid_pts[f_idx] - grid_pts[t_idx]))
+                false_e.append(grid_pts[f_idx])
+                true_e.append(grid_pts[t_idx])
+                keys.append(np.column_stack((np.full(r_e.size, ai), r_e, np.full(r_e.size, ji))))
+                rounds.append(np.array([n_rounds(x) for x in gap.tolist()], dtype=int)[r_e])
+                offsets.append(n_edges)
+                n_edges += r_e.size
+            scans[ai, ji] = (rows, starts, ends, offsets, c1, c5)
 
     # bisect every edge; f stays outside its component and t inside
-    f, t = np.array(false_e, dtype=float), np.array(true_e, dtype=float)
-    rounds, keys = np.array(rounds, dtype=int), np.array(keys, dtype=int).reshape(-1, 3)
+    f, t = np.concatenate(false_e), np.concatenate(true_e)
+    rounds, keys = np.concatenate(rounds), np.concatenate(keys)
     for r in range(rounds.max(initial=0)):
         act = np.flatnonzero(rounds > r)
         mid = 0.5 * (f[act] + t[act])
@@ -559,18 +582,30 @@ def exclusion_sets(
         t[act] = np.where(inside, mid, t[act])
         f[act] = np.where(inside, f[act], mid)
 
+    row_pairs = {}  # (ai, ji) -> the component pairs of each beta row
+    for key, (rows, starts, ends, (l_off, r_off), _, _) in scans.items():
+        lo_pts, hi_pts = np.full(starts.size, grid_pts[0]), np.full(ends.size, grid_pts[-1])
+        for pts, has_edge, pos in ((lo_pts, starts > 0, l_off), (hi_pts, ends < grid - 1, r_off)):
+            pts[has_edge] = f[pos : pos + int(has_edge.sum())]
+        pairs = list(zip(lo_pts.tolist(), hi_pts.tolist()))
+        bounds = np.searchsorted(rows, np.arange(n_cores + 1)).tolist()
+        row_pairs[key] = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+
     triples: list[TripleExclusion] = []
     all_pairs: list[tuple[float, float]] = []
-    pos = 0
-    for alpha, beta, j, starts, ends, c1, c5 in scans:
-        lo_pts, hi_pts = np.full(starts.size, grid_pts[0]), np.full(ends.size, grid_pts[-1])
-        for pts, has_edge in ((lo_pts, starts > 0), (hi_pts, ends < grid - 1)):
-            n_edges = int(has_edge.sum())
-            pts[has_edge] = f[pos : pos + n_edges]
-            pos += n_edges
-        pairs = list(zip(lo_pts.tolist(), hi_pts.tolist()))
-        triples.append(TripleExclusion(alpha, beta, j, IntervalSet.from_pairs(pairs), c1, c5))
-        all_pairs.extend(pairs)
+    c1_level = math.inf
+    c5_level = 0.0
+    for ai, alpha in enumerate(cores):
+        for bi, beta in enumerate(cores):
+            for ji, j in enumerate(runs):
+                *_, c1, c5 = scans[ai, ji]
+                pairs = row_pairs[ai, ji][bi]
+                triples.append(
+                    TripleExclusion(alpha, beta, j, IntervalSet.from_pairs(pairs), c1[bi], c5[bi])
+                )
+                all_pairs.extend(pairs)
+                c1_level = min(c1_level, c1[bi])
+                c5_level = max(c5_level, c5[bi])
 
     j_set = IntervalSet.from_pairs(all_pairs).clip(lo, hi)
     return ExclusionReport(
@@ -642,24 +677,35 @@ def verify_windows(
     log_c: float,
     r_max: int,
 ) -> AccelerationReport:
-    """Core window verification over per-entry matrix stacks.
+    """Core window verification over stacked windows of one length at a time.
 
     ``block_mats[k]`` is the (m, 2, 2) stack of the k-th core cocycle over
     the energy grid and ``marker_mats[k]`` the matching marker-run power that
-    precedes it; windows are all contiguous runs of 1..r_max entries.
+    precedes it; windows are all contiguous runs of 1..r_max entries.  Entries
+    that share one array share its frames, computed in one
+    ``svd_angles_stack`` call; the windows starting in one chunk of at most
+    ``WINDOW_MATRICES // m`` entries grow one entry at a time, with one
+    product and one ``svd_angles_stack`` call per window length.  Per window
+    and energy the arithmetic is that of a window-by-window loop, so counts
+    and extrema do not depend on the chunking.
     """
     n_entries = len(block_mats)
     m = energies.size
-    us, ss, lls = [], [], []
-    block_floor_failures = 0
-    block_chi_hits = 0
-    for k in range(n_entries):
-        u, s, ll, hyp = svd_angles_stack(block_mats[k])
-        us.append(u)
-        ss.append(s)
-        lls.append(ll)
-        block_floor_failures += int(np.sum(~hyp | (ll < log_lam_bar - 1e-12)))
-        block_chi_hits += int(np.sum(ll >= chi_n * lengths[k]))
+
+    def distinct(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Each entry's index into the stack of the distinct arrays of ``mats``."""
+        unique = {id(a): a for a in mats}
+        pos = {key: i for i, key in enumerate(unique)}
+        stack = np.array(list(unique.values()), dtype=float).reshape(-1, m, 2, 2)
+        return np.array([pos[id(a)] for a in mats], dtype=int), stack
+
+    bi, blocks = distinct(block_mats)
+    mi, markers = distinct(marker_mats)
+    lengths = np.asarray(lengths, dtype=int).reshape(-1)
+    u_b, s_b, ll_b, hyp_b = svd_angles_stack(blocks)
+    ll_e = ll_b[bi]
+    block_floor_failures = int(np.sum((~hyp_b | (ll_b < log_lam_bar - 1e-12))[bi]))
+    block_chi_hits = int(np.sum(ll_e >= chi_n * lengths[:, None]))
 
     n_windows = 0
     n_checks = 0
@@ -670,36 +716,47 @@ def verify_windows(
     worst_drift = 0.0
     worst_margin = math.inf
 
-    for p0 in range(n_entries):
-        acc = block_mats[p0]
-        sum_len = 0
-        sum_ll = np.zeros(m)
-        for r in range(1, min(r_max, n_entries - p0) + 1):
-            k = p0 + r - 1
-            if r > 1:
-                acc = block_mats[k] @ (marker_mats[k] @ acc)
-            sum_len += lengths[k]
-            sum_ll = sum_ll + lls[k]
-            n_windows += 1
-            n_checks += m
+    def fold(worst: float, rows: np.ndarray, pick) -> float:
+        """Fold per-window extrema into ``worst`` as Python's min/max over the
+        windows would: a window whose extremum is NaN leaves it unchanged."""
+        rows = rows[~np.isnan(rows)]
+        return float(pick(worst, pick.reduce(rows))) if rows.size else worst
 
-            u_w, s_w, ll_w, hyp_w = svd_angles_stack(acc)
+    step = max(1, WINDOW_MATRICES // max(1, m))
+    for c0 in range(0, n_entries, step):
+        # windows starting at p0 = c0 .. c0 + w - 1, ending at entry k = p0 + r - 1
+        for r in range(1, r_max + 1):
+            w = min(c0 + step, n_entries - r + 1) - c0
+            if w <= 0:
+                break
+            k = slice(c0 + r - 1, c0 + r - 1 + w)
+            if r == 1:
+                acc = blocks[bi[k]]
+                sum_len, sum_ll = lengths[k], ll_e[k]
+                u_w, s_w, ll_w, hyp_w = u_b[bi[k]], s_b[bi[k]], ll_e[k], hyp_b[bi[k]]
+            else:
+                acc = blocks[bi[k]] @ (markers[mi[k]] @ acc[:w])
+                sum_len = sum_len[:w] + lengths[k]
+                sum_ll = sum_ll[:w] + ll_e[k]
+                u_w, s_w, ll_w, hyp_w = svd_angles_stack(acc)
+            n_windows += w
+            n_checks += w * m
+
             hyper_violations += int(np.sum(~hyp_w))
-            u_drift = _dist_mod_pi(u_w, us[k])
-            s_drift = _dist_mod_pi(s_w, ss[p0])
+            u_drift = _dist_mod_pi(u_w, u_b[bi[k]])
+            s_drift = _dist_mod_pi(s_w, s_b[bi[c0 : c0 + w]])
             drift = np.where(hyp_w, np.maximum(u_drift, s_drift), np.inf)
             drift_failures += int(np.sum(drift > zeta))
-            worst_drift = max(worst_drift, float(np.max(np.where(hyp_w, drift, 0.0), initial=0.0)))
+            worst_drift = fold(
+                worst_drift, np.max(np.where(hyp_w, drift, 0.0), axis=1, initial=0.0), np.maximum
+            )
 
-            bound_chi = chi_next * sum_len
+            bound_chi = (chi_next * sum_len)[:, None]
             bound_prod = -p_const * r * log_c + sum_ll + r * log_kappa
             growth_chi_failures += int(np.sum(ll_w < bound_chi))
             growth_product_failures += int(np.sum(ll_w < bound_prod))
-            worst_margin = min(
-                worst_margin,
-                float(np.min(ll_w - bound_chi)),
-                float(np.min(ll_w - bound_prod)),
-            )
+            worst_margin = fold(worst_margin, np.min(ll_w - bound_chi, axis=1), np.minimum)
+            worst_margin = fold(worst_margin, np.min(ll_w - bound_prod, axis=1), np.minimum)
 
     return AccelerationReport(
         level=level,

@@ -25,6 +25,15 @@ def test_difference_example():
     assert d.intervals == ((0.0, 1.0),)
 
 
+def test_difference_keeps_uncut_points():
+    point = make((0, 0))
+    assert point.difference(IntervalSet.empty()).intervals == ((0.0, 0.0),)
+    assert make((1, 1)).difference(make((0, 0.5))).intervals == ((1.0, 1.0),)
+    # a point that the other set covers, or touches, is gone
+    assert make((1, 1)).difference(make((0.5, 1))) == IntervalSet.empty()
+    assert make((1, 1)).difference(make((1, 1))) == IntervalSet.empty()
+
+
 def test_dilate_example():
     d = make((0, 1)).dilate(0.1)
     assert d.intervals == ((-0.1, 1.1),)
@@ -153,3 +162,13 @@ def test_intersect_and_difference_partition(x, y):
     assert inside.measure + outside.measure == x.measure
     assert inside.intersect(outside).measure == 0.0
     assert inside.subset_of(x) and outside.subset_of(x)
+
+
+@_PROPS
+@given(st.one_of(_pairs.map(IntervalSet.from_pairs), _grid_set))
+@example(make((0, 0)))
+@example(make((-0.0, 0.0), (1, 1)))
+def test_difference_with_empty_is_identity(x):
+    got = x.difference(IntervalSet.empty())
+    assert got == x
+    assert endpoint_reprs(got.intervals) == endpoint_reprs(x.intervals)

@@ -330,6 +330,58 @@ def test_batched_exclusion_equals_per_triple_bisection(abc_structure, kappa):
     assert any(lo == -3.0 or hi == 3.0 for t in rep.triples for lo, hi in t.intervals)
 
 
+def _reference_triple_scan(structure, pot, grid):
+    """(c1_hat, c5_hat) of every triple from a grid scan per (alpha, beta, j),
+    as exclusion_sets ran before it scanned all betas of an (alpha, j) at once."""
+    lv = structure.level(0)
+    grid_pts = np.linspace(-3.0, 3.0, grid)
+    de, delta = grid_pts[1] - grid_pts[0], 1e-4
+    frames = {c: svd_angles_stack(cocycle_stack(c, grid_pts, pot)) for c in lv.cores}
+    cpows = {j: cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in lv.runs}
+
+    def phi_of(u, s, cpow):
+        vx, vy = np.cos(u), np.sin(u)
+        cr, sr = np.cos(PI / 2 - s), np.sin(PI / 2 - s)
+        wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
+        wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
+        return np.arctan2(sr * wx + cr * wy, cr * wx - sr * wy) % PI
+
+    dist = tower_module._dist_mod_pi
+    out = []
+    for alpha in lv.cores:
+        for beta in lv.cores:
+            u, _, _, ha = frames[alpha]
+            _, s, _, hb = frames[beta]
+            both = ha & hb
+            for j in lv.runs:
+                phi = phi_of(u, s, cpows[j])
+                sens = np.maximum(
+                    dist(phi_of(u + delta, s, cpows[j]), phi),
+                    dist(phi_of(u, s + delta, cpows[j]), phi),
+                ) / delta
+                c5 = float(np.max(sens[both], initial=0.0))
+                valid = both[1:] & both[:-1]
+                steps = dist(phi[1:], phi[:-1])
+                c1 = float(np.min(steps[valid]) / de) if valid.any() else math.inf
+                out.append((alpha, beta, j, c1, c5))
+    return out
+
+
+# b sits on the 257-point grid of [-3, 3], where the core "b" is a rotation
+ABC_POT_ROTATION = Potential({"a": 0.0, "b": 0.75, "c": -2.5})
+
+
+@pytest.mark.parametrize("pot", [ABC_POT, ABC_POT_ROTATION])
+def test_batched_scan_equals_per_triple_scan(abc_structure, pot):
+    rep = exclusion_sets(abc_structure, 0, pot, 1.0, (-3.0, 3.0), 257, 1e-6)
+    ref = _reference_triple_scan(abc_structure, pot, 257)
+    assert [(t.alpha, t.beta, t.j, t.c1_hat, t.c5_hat) for t in rep.triples] == ref
+    assert rep.c1_hat == min(c1 for *_, c1, _ in ref)
+    assert rep.c5_hat == max(c5 for *_, c5 in ref)
+    # the case covers rows with different values of both constants
+    assert len({t.c1_hat for t in rep.triples}) > 1 and len({t.c5_hat for t in rep.triples}) > 1
+
+
 def _count_cocycle_calls(monkeypatch):
     calls = []
 
@@ -365,6 +417,17 @@ def test_component_cap_raised_before_bisection(abc_structure, monkeypatch):
     assert len(calls) == len(lv.cores) + len(lv.runs)
 
 
+def test_component_cap_names_first_triple_in_alpha_beta_j_order(abc_structure):
+    # ('bcb', 'bbc', 1) also exceeds the cap, and comes first in (alpha, j, beta) order
+    with pytest.raises(
+        RuntimeError, match=r"triple \('bcb', 'bcb', 2\) produced 2 components, above cap 1"
+    ):
+        exclusion_sets(
+            abc_structure, 0, ABC_POT, 0.05, (-3.0, 3.0), 257, 1e-6,
+            Constants(triple_component_cap=1),
+        )
+
+
 # -- acceleration ------------------------------------------------------------
 
 
@@ -394,6 +457,93 @@ def test_verify_windows_synthetic_diagonal():
     assert rep.worst_growth_margin >= 0.0
 
 
+def _reference_windows(block_mats, marker_mats, lengths, *, energies, zeta, chi_n, chi_next,
+                       log_kappa, log_lam_bar, p_const, log_c, r_max, **_):
+    """Window-by-window loop: one product and one split per entry and per
+    window, as verify_windows ran before it stacked the windows."""
+    n, m = len(block_mats), energies.size
+    frames = [svd_angles_stack(b) for b in block_mats]
+    out = dict(n_windows=0, n_checks=0, hyper_violations=0, drift_failures=0,
+               growth_chi_failures=0, growth_product_failures=0, worst_drift=0.0,
+               worst_growth_margin=math.inf)
+    out["block_floor_failures"] = sum(
+        int(np.sum(~h | (ll < log_lam_bar - 1e-12))) for _, _, ll, h in frames
+    )
+    chi_hits = sum(int(np.sum(f[2] >= chi_n * lengths[k])) for k, f in enumerate(frames))
+    out["block_chi_rate"] = chi_hits / max(1, n * m)
+    for p0 in range(n):
+        acc, sum_len, sum_ll = block_mats[p0], 0, np.zeros(m)
+        for r in range(1, min(r_max, n - p0) + 1):
+            k = p0 + r - 1
+            if r > 1:
+                acc = block_mats[k] @ (marker_mats[k] @ acc)
+            sum_len += lengths[k]
+            sum_ll = sum_ll + frames[k][2]
+            out["n_windows"] += 1
+            out["n_checks"] += m
+            u_w, s_w, ll_w, hyp_w = svd_angles_stack(acc)
+            out["hyper_violations"] += int(np.sum(~hyp_w))
+            drift = np.maximum(
+                tower_module._dist_mod_pi(u_w, frames[k][0]),
+                tower_module._dist_mod_pi(s_w, frames[p0][1]),
+            )
+            drift = np.where(hyp_w, drift, np.inf)
+            out["drift_failures"] += int(np.sum(drift > zeta))
+            out["worst_drift"] = max(
+                out["worst_drift"], float(np.max(np.where(hyp_w, drift, 0.0), initial=0.0))
+            )
+            bound_chi = chi_next * sum_len
+            bound_prod = -p_const * r * log_c + sum_ll + r * log_kappa
+            out["growth_chi_failures"] += int(np.sum(ll_w < bound_chi))
+            out["growth_product_failures"] += int(np.sum(ll_w < bound_prod))
+            out["worst_growth_margin"] = min(
+                out["worst_growth_margin"],
+                float(np.min(ll_w - bound_chi)),
+                float(np.min(ll_w - bound_prod)),
+            )
+    return out
+
+
+def _random_sl2(gen, m, spread):
+    """(m, 2, 2) stack of random det-1 matrices, norms from ~1 to ~spread."""
+    a = gen.normal(size=(m, 2, 2)) * np.exp(gen.uniform(0.0, math.log(spread), (m, 1, 1)))
+    det = np.linalg.det(a)
+    a[det < 0, :, 0] *= -1.0
+    return a / np.sqrt(np.abs(det))[:, None, None]
+
+
+@pytest.mark.parametrize("n_entries, r_max, chunk", [(11, 4, 24), (3, 6, 7), (7, 7, 2048)])
+def test_verify_windows_batched_equals_per_window(monkeypatch, n_entries, r_max, chunk):
+    gen = np.random.default_rng(n_entries * 100 + r_max)
+    m = 9
+    energies = np.linspace(-1.0, 1.0, m)
+    cores = [_random_sl2(gen, m, 50.0) for _ in range(3)]
+    # one core with rotations and near-identities: non-hyperbolic entries
+    t = gen.uniform(0.0, 6.0, m)
+    rot = np.moveaxis(np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]), -1, 0)
+    rot[::3] = np.eye(2)
+    cores.insert(1, rot)
+    marks = [_random_sl2(gen, m, 5.0) for _ in range(2)]
+    # arrays shared between entries, plus one entry with its own copy of a core
+    block_mats = [cores[i % len(cores)] for i in range(n_entries)]
+    block_mats[-1] = block_mats[0].copy()
+    marker_mats = [marks[i % 2] for i in range(n_entries)]
+    lengths = [int(x) for x in gen.integers(1, 6, n_entries)]
+    kwargs = dict(
+        level=0, energies=energies, zeta=0.05, chi_n=0.5, chi_next=0.4,
+        log_kappa=math.log(0.2), log_lam_bar=1.0, p_const=1, log_c=0.3, r_max=r_max,
+    )
+    # windows of one length cross chunk edges when a chunk holds few entries
+    monkeypatch.setattr(tower_module, "WINDOW_MATRICES", chunk)
+    rep = verify_windows(block_mats, marker_mats, lengths, **kwargs)
+    want = _reference_windows(block_mats, marker_mats, lengths, **kwargs)
+    assert rep.hyper_violations > 0 and rep.drift_failures > 0
+    for name, value in want.items():
+        assert getattr(rep, name) == value, name
+    assert rep.level == 0 and rep.r_max == r_max and rep.energies == energies.tolist()
+    assert rep.zeta == kwargs["zeta"] and rep.chi_next == kwargs["chi_next"]
+
+
 def test_acceleration_r1_drift_is_exactly_zero(fib_result):
     pot = fib_result.pot
     energies = grid_outside(
@@ -403,6 +553,31 @@ def test_acceleration_r1_drift_is_exactly_zero(fib_result):
         fib_result.structure, fib_result.schedule, pot, energies, 0, 1
     )
     assert rep.worst_drift == 0.0
+    assert rep.all_passed
+
+
+@pytest.mark.parametrize("window_matrices", [2048, 100])
+def test_acceleration_svd_call_count(fib_result, monkeypatch, window_matrices):
+    calls = []
+
+    def counted(mats, *args):
+        calls.append(mats.shape[:-2])
+        return svd_angles_stack(mats, *args)
+
+    monkeypatch.setattr(tower_module, "svd_angles_stack", counted)
+    monkeypatch.setattr(tower_module, "WINDOW_MATRICES", window_matrices)
+    energies = grid_outside(fib_result.interval, fib_result.exclusions[0].j_set, 32, 1e-6)
+    r_max = 5
+    rep = acceleration_verify(fib_result.structure, fib_result.schedule, fib_result.pot,
+                              energies, 0, r_max)
+    lv = fib_result.structure.level(0)
+    chunks = math.ceil(len(lv.entries) / max(1, window_matrices // energies.size))
+    assert len(calls) <= len(lv.cores) + r_max * chunks
+    # every window and every distinct core is split exactly once
+    r1 = len(lv.entries)
+    assert sum(math.prod(shape) for shape in calls) == (
+        len(lv.cores) + rep.n_windows - r1
+    ) * energies.size
     assert rep.all_passed
 
 

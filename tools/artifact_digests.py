@@ -1,8 +1,9 @@
 """Print the sha256 digest of every artifact of a fixed set of CLI runs.
 
 The runs are the four shipped configs in ``configs/``, ``verify`` at
-b = 163.4 and 287.1 on the tower-bisect base config of
-``perfbench/workloads.json``, ``decay`` on its spectra base config with a
+b = 163.4, 287.1 and 500 on the tower-bisect base config of
+``perfbench/workloads.json`` (b = 500 is the tower-scan regime, where the
+level-1 scan finds far fewer components), ``decay`` on its spectra base config with a
 seeded random 4,096-letter sample word (a factor set of about 3,200 words,
 where the shipped Fibonacci config has 14), and one run each of ``tower``,
 ``words``, ``spectrum`` and every ``measure`` op.  Each goes through ``cli.dispatch``
@@ -56,7 +57,7 @@ def runs() -> list[tuple[str, str, dict]]:
         ("tower400", "tower", lam400),
     ]
     spec = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
-    for b in (163.4, 287.1):
+    for b in (163.4, 287.1, 500.0):
         raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
         raw["potential"]["b"] = b
         out.append((f"verify_b{b}", "verify", raw))
