@@ -23,6 +23,7 @@ from .words import (
     SubshiftSpec,
     Word,
     adz_next_stage,
+    bracelet_representatives,
     complexity,
     factor_set,
     letter,
@@ -99,7 +100,10 @@ def decay_sweep(
 
     For each lam the potential is lam * v_base and the reported number is the
     Lebesgue measure of the length-``factor_len`` approximant intersected
-    with [lam v(e0) - H, lam v(e0) + H].
+    with [lam v(e0) - H, lam v(e0) + H].  The approximant is the union of the
+    periodic spectra of the observed factors; it is solved on one factor per
+    rotation/reversal class (``bracelet_representatives``), since the
+    periodic spectrum of a word does not change under either symmetry.
     """
     if sorted(lam_list) != list(lam_list) or len(set(lam_list)) != len(lam_list):
         raise ValueError("lam_list must be strictly ascending")
@@ -107,7 +111,7 @@ def decay_sweep(
         raise ValueError("need at least three couplings")
     if len(set(v_base.values.values())) < 2:
         raise ValueError("base potential must be non-constant")
-    words = factor_set(spec, factor_len, sample_len)
+    words = bracelet_representatives(factor_set(spec, factor_len, sample_len))
     rows = []
     for lam in lam_list:
         pot = v_base.scale(lam)

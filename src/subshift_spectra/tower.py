@@ -746,7 +746,8 @@ def verify_windows(
             u_drift = _dist_mod_pi(u_w, u_b[bi[k]])
             s_drift = _dist_mod_pi(s_w, s_b[bi[c0 : c0 + w]])
             drift = np.where(hyp_w, np.maximum(u_drift, s_drift), np.inf)
-            drift_failures += int(np.sum(drift > zeta))
+            # a rotation-like first or last block has NaN frames: its drift fails
+            drift_failures += int(np.sum(~(drift <= zeta)))
             worst_drift = fold(
                 worst_drift, np.max(np.where(hyp_w, drift, 0.0), axis=1, initial=0.0), np.maximum
             )

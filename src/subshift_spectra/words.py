@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Letter = str
 Word = str
@@ -241,6 +241,25 @@ def factor_set(spec: SubshiftSpec, n: int, sample_len: int) -> list[Word]:
         raise ValueError(f"sample length {sample_len} < 4*{n}; margin too small")
     s = sample_word(spec, sample_len)
     return sorted({s[i : i + n] for i in range(len(s) - n + 1)})
+
+
+def bracelet_representatives(words: Iterable[Word]) -> list[Word]:
+    """First word of each class of words equal up to rotation and reversal.
+
+    The classes (bracelets) are listed in the order their first word occurs
+    in ``words``.  The ``w``-periodic operator is conjugate to the one of
+    every rotation of ``w`` (by a shift) and of its reversal (by a
+    reflection), so one word per class gives the same periodic spectrum.
+    """
+    seen: set[Word] = set()
+    reps = []
+    for w in words:
+        if w not in seen:
+            reps.append(w)
+            q = len(w)
+            for twice in (w + w, w[::-1] * 2):
+                seen.update(twice[i : i + q] for i in range(q))
+    return reps
 
 
 def complexity(spec: SubshiftSpec, n: int, sample_len: int) -> int:

@@ -1,6 +1,10 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from subshift_spectra import FIBONACCI, IntervalSet, Potential
+from subshift_spectra import FIBONACCI, IntervalSet, Potential, Sample, periodic_bands
+from subshift_spectra.cli import load_config
 from subshift_spectra.experiments import (
     AdzRun,
     AdzStageRecord,
@@ -13,8 +17,11 @@ from subshift_spectra.experiments import (
     scaled_product_suite,
     _stage_bands,
 )
+from subshift_spectra.words import factor_set
 
-from conftest import de_bruijn
+from conftest import de_bruijn, rng
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # -- decay fits ---------------------------------------------------------------
@@ -57,6 +64,45 @@ def test_decay_sweep_monotone_mini():
     assert all(b <= a + 1e-12 for a, b in zip(ms, ms[1:]))
     assert table.gamma_hat is not None and table.gamma_hat > 0
     assert "proxy" in table.note
+
+
+def _full_factor_sweep(spec, v_base, lam_list, factor_len, e0_letter, h, sample_len):
+    """The decay sweep over every observed factor, as it ran before it solved
+    one factor per rotation/reversal class: per coupling, the clipped band
+    union, then the fit of its measures."""
+    words = factor_set(spec, factor_len, sample_len)
+    clipped = []
+    for lam in lam_list:
+        pot = v_base.scale(lam)
+        e0 = pot.value(e0_letter)
+        clipped.append(periodic_bands(words, pot).clip(e0 - h, e0 + h))
+    return clipped, fit_decay(lam_list, [c.measure for c in clipped])
+
+
+#: eigenvalue rounding allowance per reported band endpoint, in units of
+#: eps * ||H|| with ||H|| <= lam max|v| + 2; the worst seen is about 3
+C_ENDPOINT = 8
+
+
+@pytest.mark.parametrize("subshift", ["shipped", "random sample"])
+def test_decay_sweep_matches_full_factor_set(subshift):
+    cfg = load_config(CONFIG_DIR / "acceptance_decay.json")
+    sec = cfg.section("decay")
+    spec = cfg.subshift()
+    if subshift == "random sample":
+        spec = Sample("".join(rng(11).choice(list("ab"), 4096)))
+    v_base = cfg.potential()
+    args = (sec["lam_list"], sec["factor_len"], sec["e0_letter"], float(cfg.consts.H), sec["sample_len"])
+    table = decay_sweep(spec, v_base, *args)
+    clipped, (slope, gamma_hat, _, _) = _full_factor_sweep(spec, v_base, *args)
+    v_max = max(abs(v) for v in v_base.values.values())
+    eps = np.finfo(float).eps
+    for row, ref in zip(table.rows, clipped, strict=True):
+        endpoints = 2 * len(ref)
+        bound = endpoints * C_ENDPOINT * eps * (row.lam * v_max + 2.0)
+        assert abs(row.measure - ref.measure) <= bound, row.lam
+    assert table.slope == pytest.approx(slope, rel=0, abs=1e-9)
+    assert table.gamma_hat == pytest.approx(gamma_hat, rel=0, abs=1e-9)
 
 
 # -- staged construction -------------------------------------------------------

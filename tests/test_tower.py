@@ -457,6 +457,34 @@ def test_verify_windows_synthetic_diagonal():
     assert rep.worst_growth_margin >= 0.0
 
 
+def test_verify_windows_nan_drift_fails():
+    # diag(3, 1/3) . R is hyperbolic, but the rotation R has no frame, so the
+    # window's drift against R's s angle is NaN and must count as a failure
+    t = 0.7
+    rot = np.array([[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]])
+    hyp = np.diag([3.0, 1.0 / 3.0])[None]
+    ident = np.eye(2)[None]
+    rep = verify_windows(
+        [rot, hyp],
+        [ident, ident],
+        [1, 1],
+        level=0,
+        energies=np.zeros(1),
+        zeta=1e-6,
+        chi_n=0.0,
+        chi_next=0.0,
+        log_kappa=0.0,
+        log_lam_bar=0.0,
+        p_const=1,
+        log_c=0.0,
+        r_max=2,
+    )
+    assert rep.n_windows == 3 and rep.hyper_violations == 1  # R alone
+    # R alone (not hyperbolic) and R followed by diag(3, 1/3) (NaN drift)
+    assert rep.drift_failures == 2
+    assert not rep.all_passed
+
+
 def _reference_windows(block_mats, marker_mats, lengths, *, energies, zeta, chi_n, chi_next,
                        log_kappa, log_lam_bar, p_const, log_c, r_max, **_):
     """Window-by-window loop: one product and one split per entry and per
@@ -488,7 +516,7 @@ def _reference_windows(block_mats, marker_mats, lengths, *, energies, zeta, chi_
                 tower_module._dist_mod_pi(s_w, frames[p0][1]),
             )
             drift = np.where(hyp_w, drift, np.inf)
-            out["drift_failures"] += int(np.sum(drift > zeta))
+            out["drift_failures"] += int(np.sum(~(drift <= zeta)))  # a NaN drift fails
             out["worst_drift"] = max(
                 out["worst_drift"], float(np.max(np.where(hyp_w, drift, 0.0), initial=0.0))
             )

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subshift_spectra import (
     AdzStages,
@@ -21,6 +23,8 @@ from subshift_spectra.words import (
     ReturnEntry,
     RunLengthError,
     StructureError,
+    _combine,
+    bracelet_representatives,
     factor_set,
 )
 
@@ -118,6 +122,54 @@ def test_complexity_preconditions():
     with pytest.raises(ValueError):
         complexity(FIBONACCI, 10, 30)  # sample < 4n
     assert factor_set(Periodic("ab"), 2, 20) == ["ab", "ba"]
+
+
+# -- rotation/reversal classes -------------------------------------------------
+
+_PROPS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def bracelet_key(w: str) -> str:
+    """Class label: the least rotation of ``w`` or of its reversal."""
+    return min(min(u[i:] + u[:i] for i in range(len(u))) for u in (w, w[::-1]))
+
+
+@st.composite
+def _class_words(draw):
+    """Words over {a, b, c} of length 1-16, most of them a rotation or the
+    reversal of a rotation of a few base words, so that classes repeat."""
+    bases = draw(st.lists(st.text("abc", min_size=1, max_size=16), min_size=1, max_size=4))
+    variants = st.tuples(st.sampled_from(bases), st.integers(0, 15), st.booleans())
+    words = []
+    for base, shift, flip in draw(st.lists(variants, max_size=24)):
+        k = shift % len(base)
+        w = base[k:] + base[:k]
+        words.append(w[::-1] if flip else w)
+    return words
+
+
+def test_bracelet_representatives_examples():
+    assert bracelet_representatives(["ab", "ba", "aab", "aba", "baa", "abb"]) == ["ab", "aab", "abb"]
+    # aababb and aabbab are reversals up to rotation, not rotations of each other
+    assert bracelet_representatives(["aabbab", "aababb"]) == ["aabbab"]
+    assert bracelet_representatives(["acb", "abc", "a", "aa"]) == ["acb", "a", "aa"]
+    assert bracelet_representatives([]) == []
+
+
+@_PROPS
+@given(_class_words())
+@example(["ab", "ba", "ab"])
+def test_bracelet_representatives_one_first_word_per_class(words):
+    reps = bracelet_representatives(words)
+    assert all(r in words for r in reps)
+    keys = [bracelet_key(r) for r in reps]
+    assert len(set(keys)) == len(keys)
+    first = {}
+    for w in words:
+        first.setdefault(bracelet_key(w), w)
+    assert reps == list(first.values())  # the first word of each class, in order
+    assert set(keys) == {bracelet_key(w) for w in words}
+    assert bracelet_representatives(reps) == reps
 
 
 # -- staged construction rule ------------------------------------------------
@@ -230,3 +282,35 @@ def test_head_tail_cores_prefix_suffix_property():
 
 def test_return_entry_length():
     assert ReturnEntry(2, "bab").length == 5
+
+
+@st.composite
+def _marker_samples(draw):
+    """(sample, arities) whose a-runs leave enough returns for the tower."""
+    arities = draw(st.lists(st.integers(1, 3), max_size=2))
+    needed = 4 * math.prod(arities) + 1
+    blocks = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.text("bc", min_size=1, max_size=3)),
+            min_size=needed,
+            max_size=needed + 12,
+        )
+    )
+    head = draw(st.text("bc", max_size=3))
+    return head + "".join("a" * run + core for run, core in blocks), arities
+
+
+@_PROPS
+@given(_marker_samples())
+def test_return_structure_levels_rebuild_the_sample(case):
+    sample, arities = case
+    rs = return_structure(Sample(sample), "a", len(arities), arities, len(sample))
+    assert len(rs.levels) == len(arities) + 1
+    for lv in rs.levels:
+        rebuilt = "".join(rs.entry_word(e) for e in lv.entries)
+        assert rebuilt == sample[rs.first_start : rs.first_start + len(rebuilt)]
+    for prev, lv in zip(rs.levels, rs.levels[1:]):
+        n = lv.group_arity
+        assert len(lv.entries) == len(prev.entries) // n
+        for i, e in enumerate(lv.entries):
+            assert e == _combine("a", prev.entries[i * n : (i + 1) * n])

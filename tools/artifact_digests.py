@@ -11,7 +11,8 @@ into its own directory under one temporary directory; measure inputs are
 referenced by relative path, so every digest is independent of where the
 temporary directory lives.  Output is one ``sha256  relative/path`` line per
 artifact, sorted by path, so two checkouts write identical artifacts exactly
-when their outputs are equal:
+when their outputs are equal.  A run that exits non-zero is named on stderr
+and makes the tool exit 1, since its artifacts are missing from the list:
 
     python3 tools/artifact_digests.py > before.txt   # in one checkout
     python3 tools/artifact_digests.py > after.txt    # in the other
@@ -83,15 +84,17 @@ def main() -> int:
         cli.write_csv(work / "x.csv", ["lo", "hi"], [list(p) for p in SET_X])
         cli.write_csv(work / "y.csv", ["lo", "hi"], [list(p) for p in SET_Y])
         outputs = work / "out"
+        failed = False
         for name, command, raw in runs():
             code = cli.dispatch(command, cli.RunConfig(copy.deepcopy(raw)), outputs / name, quiet=True)
             if code != 0:
                 print(f"{name}: {command} exited {code}", file=sys.stderr)
+                failed = True
         for path in sorted(p for p in outputs.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(outputs).as_posix()}")
         os.chdir(ROOT)
-    return 0
+    return int(failed)
 
 
 if __name__ == "__main__":
