@@ -165,8 +165,28 @@ def proj_dist(x, y) -> float:
 
 
 def _dist_mod_pi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = np.abs(a - b) % PI
+    """Elementwise ``min(|a - b| % pi, pi - |a - b| % pi)``, bit for bit.
+
+    ``m % pi == m`` exactly for m in [0, pi), so only the other entries (NaN
+    included) go through numpy's scalar-loop ``%``.
+    """
+    m = np.asarray(np.abs(a - b))
+    out = ~(m < PI)
+    if out.any():
+        m[out] %= PI
     return np.minimum(m, PI - m)
+
+
+def _angle_mod_pi(x: np.ndarray) -> np.ndarray:
+    """``x % pi`` bit for bit for x in arctan2's range [-pi, pi] (and NaN).
+
+    The fold adds pi to negative entries and takes pi off an entry equal to
+    pi, so -0.0 and pi map to +0.0 and a negative x too small to survive the
+    addition maps to pi, as ``%`` does.
+    """
+    y = x + PI * (x < 0.0)
+    y[x >= PI] -= PI
+    return y
 
 
 # ---------------------------------------------------------------------------

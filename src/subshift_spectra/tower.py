@@ -23,13 +23,17 @@ import numpy as np
 
 from .bands import spectrum_approximant
 from .intervals import IntervalSet
-from .sl2 import _dist_mod_pi, cocycle_stack, svd_angles_stack
+from .sl2 import _angle_mod_pi, _dist_mod_pi, cocycle_stack, svd_angles_stack
 from .words import Potential, ReturnStructure, SubshiftSpec, Word, return_structure
 
 PI = math.pi
 
 #: 2x2 matrices in one stack of acceleration windows; bounds the memory of a batch
 WINDOW_MATRICES = 2048
+
+#: exclusion bisection rounds per membership pass; a pass probes 2**depth - 1
+#: midpoints per edge
+BISECT_DEPTH = 3
 
 
 class ScheduleError(ValueError):
@@ -435,10 +439,13 @@ def exclusion_sets(
     found by uniform sampling, one (cores, grid) pass per alpha core and
     marker-run length that covers every beta core at once (per energy the
     arithmetic of a scan per triple), then one bisection that refines
-    every component edge of every triple at once: each round evaluates each
-    distinct core and each marker power once, on the probes of all triples
-    that use it.  The edges of one (triple, side) run
-    ceil(log2(max gap / refine_tol)) rounds.  Recorded endpoints sit on the
+    every component edge of every triple at once.  The edges of one
+    (triple, side) run ceil(log2(max gap / refine_tol)) rounds, taken
+    ``BISECT_DEPTH`` at a time: one pass evaluates, on the probes of all
+    triples that use it, each distinct core and each marker power once, at
+    every midpoint the edges' next rounds could visit, and then takes those
+    rounds.  Each probe is the float a one-round loop would compute, so the
+    endpoints do not depend on the depth.  Recorded endpoints sit on the
     outside of each component (conservative by at most ``refine_tol`` per
     side); components entirely between grid points are missed, which is the
     documented grid resolution limit.  Energies where either core's cocycle
@@ -477,7 +484,7 @@ def exclusion_sets(
         cosine and sine of pi/2 - s_b; g is its distance to pi/2."""
         zx = cr * wx - sr * wy
         zy = sr * wx + cr * wy
-        return np.arctan2(zy, zx) % PI
+        return _angle_mod_pi(np.arctan2(zy, zx))
 
     def member(e: np.ndarray, ai: np.ndarray, bi: np.ndarray, ji: np.ndarray) -> np.ndarray:
         """Sublevel membership of each probe e[k] for the triple
@@ -572,15 +579,32 @@ def exclusion_sets(
                 n_edges += r_e.size
             scans[ai, ji] = (rows, starts, ends, offsets, c1, c5)
 
-    # bisect every edge; f stays outside its component and t inside
+    # bisect every edge; f stays outside its component and t inside.  One pass
+    # takes up to BISECT_DEPTH rounds: it evaluates every midpoint those rounds
+    # could probe, a heap-ordered tree per edge in which node n brackets (f, t)
+    # and its probe, inside or not, leads to child 2n + 1 = (f, probe) or
+    # 2n + 2 = (probe, t).
     f, t = np.concatenate(false_e), np.concatenate(true_e)
     rounds, keys = np.concatenate(rounds), np.concatenate(keys)
-    for r in range(rounds.max(initial=0)):
+    n_probes = 2**BISECT_DEPTH - 1
+    for r in range(0, rounds.max(initial=0), BISECT_DEPTH):
         act = np.flatnonzero(rounds > r)
-        mid = 0.5 * (f[act] + t[act])
-        inside = member(mid, *keys[act].T)
-        t[act] = np.where(inside, mid, t[act])
-        f[act] = np.where(inside, f[act], mid)
+        steps = np.minimum(rounds[act] - r, BISECT_DEPTH)
+        fs, ts = np.empty((2, act.size, 2 * n_probes + 1))
+        fs[:, 0], ts[:, 0] = f[act], t[act]
+        probes = np.empty((act.size, n_probes))
+        for n in range(n_probes):
+            probes[:, n] = mid = 0.5 * (fs[:, n] + ts[:, n])
+            fs[:, 2 * n + 1], ts[:, 2 * n + 1] = fs[:, n], mid
+            fs[:, 2 * n + 2], ts[:, 2 * n + 2] = mid, ts[:, n]
+        # an edge with k < BISECT_DEPTH rounds left probes only the top k levels
+        used = np.arange(n_probes) < (2**steps - 1)[:, None]
+        inside = np.zeros(used.shape, dtype=bool)
+        inside[used] = member(probes[used], *np.repeat(keys[act], used.sum(axis=1), axis=0).T)
+        node, edge = np.zeros(act.size, dtype=int), np.arange(act.size)
+        for step in range(BISECT_DEPTH):
+            node = np.where(steps > step, 2 * node + 2 - inside[edge, node], node)
+        f[act], t[act] = fs[edge, node], ts[edge, node]
 
     row_pairs = {}  # (ai, ji) -> the component pairs of each beta row
     for key, (rows, starts, ends, (l_off, r_off), _, _) in scans.items():
@@ -745,8 +769,10 @@ def verify_windows(
             hyper_violations += int(np.sum(~hyp_w))
             u_drift = _dist_mod_pi(u_w, u_b[bi[k]])
             s_drift = _dist_mod_pi(s_w, s_b[bi[c0 : c0 + w]])
-            drift = np.where(hyp_w, np.maximum(u_drift, s_drift), np.inf)
-            # a rotation-like first or last block has NaN frames: its drift fails
+            drift = np.maximum(u_drift, s_drift)
+            # a rotation-like first or last block has NaN frames: its drift
+            # fails, and in a hyperbolic window it is the worst drift
+            drift = np.where(hyp_w & ~np.isnan(drift), drift, np.inf)
             drift_failures += int(np.sum(~(drift <= zeta)))
             worst_drift = fold(
                 worst_drift, np.max(np.where(hyp_w, drift, 0.0), axis=1, initial=0.0), np.maximum

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subshift_spectra import Mat2, Potential, cocycle_product, transfer_matrix
 from subshift_spectra.sl2 import (
     DegenerateAngleError,
+    _angle_mod_pi,
+    _dist_mod_pi,
     EllipticError,
     PI,
     cocycle_stack,
@@ -184,6 +188,47 @@ def test_proj_dist_is_a_metric():
         assert 0.0 <= dab <= PI / 2
         assert proj_dist(a, c) <= dab + proj_dist(b, c) + 1e-12
     assert proj_angle(-0.5) == pytest.approx(PI - 0.5)
+
+
+# -- exact mod-pi forms ------------------------------------------------------
+
+_PROPS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+_NEAR_PI = float(np.nextafter(PI, 0.0))
+# signed zeros, the ends of arctan2's range and their neighbours, negative
+# subnormals and tiny negatives that vanish against pi, and NaN
+_ANGLE_EDGES = [0.0, -0.0, PI, -PI, _NEAR_PI, -_NEAR_PI, -5e-324, -1e-300, 5e-324, math.nan]
+_DIST_EDGES = _ANGLE_EDGES + [math.inf, -math.inf, 2 * PI, -2 * PI, 3 * PI / 2, 1e300, -1e300]
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@_PROPS
+@given(st.lists(st.one_of(st.sampled_from(_ANGLE_EDGES), st.floats(-PI, PI)), max_size=40))
+def test_angle_mod_pi_bit_equal_to_remainder(xs):
+    x = np.array(_ANGLE_EDGES + xs)
+    assert np.array_equal(_bits(_angle_mod_pi(x)), _bits(x % PI))
+
+
+_dist_value = st.one_of(
+    st.sampled_from(_DIST_EDGES),
+    st.floats(-PI, PI),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@_PROPS
+@given(st.lists(st.tuples(_dist_value, _dist_value), max_size=40))
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_dist_mod_pi_bit_equal_to_remainder(pairs):
+    edges = [(a, b) for a in _DIST_EDGES for b in (0.0, PI / 2, -PI)]
+    a, b = np.array(edges + pairs).T
+    m = np.abs(a - b) % PI
+    assert np.array_equal(_bits(_dist_mod_pi(a, b)), _bits(np.minimum(m, PI - m)))
+    # 0-d arguments go through the same reduction
+    assert _bits(_dist_mod_pi(a[0], b[0])) == _bits(np.minimum(m[0], PI - m[0]))
 
 
 def test_peak_angle_identity():

@@ -403,6 +403,22 @@ def test_batched_exclusion_call_count(abc_structure, monkeypatch):
     assert len(calls) <= (len(lv.cores) + len(lv.runs)) * (rounds + 1)
 
 
+@pytest.mark.parametrize("rounds", [13, 14, 16])
+def test_multi_round_bisection_remainder_equals_per_triple(abc_structure, monkeypatch, rounds):
+    # every gap is one grid step, 6/256 exactly, so each edge runs `rounds`
+    # rounds; 13, 14 and 16 leave 1, 2 and 1 for the last pass at depth 3
+    depth = tower_module.BISECT_DEPTH
+    tol = 6.0 / 256 / 2 ** (rounds - 0.5)
+    assert math.ceil(math.log2(6.0 / 256 / tol)) == rounds and rounds % depth
+    calls = _count_cocycle_calls(monkeypatch)
+    rep = exclusion_sets(abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), 257, tol)
+    lv = abc_structure.level(0)
+    assert len(calls) <= (len(lv.cores) + len(lv.runs)) * (math.ceil(rounds / depth) + 1)
+    ref = _reference_triple_exclusions(abc_structure, ABC_POT, 1.0, 257, tol)
+    assert [(t.alpha, t.beta, t.j, t.intervals) for t in rep.triples] == ref
+    assert sum(len(t.intervals) for t in rep.triples) > 2 * len(rep.triples)
+
+
 def test_component_cap_raised_before_bisection(abc_structure, monkeypatch):
     calls = _count_cocycle_calls(monkeypatch)
     lv = abc_structure.level(0)
@@ -482,6 +498,8 @@ def test_verify_windows_nan_drift_fails():
     assert rep.n_windows == 3 and rep.hyper_violations == 1  # R alone
     # R alone (not hyperbolic) and R followed by diag(3, 1/3) (NaN drift)
     assert rep.drift_failures == 2
+    # the NaN drift of the hyperbolic window is its worst drift
+    assert rep.worst_drift > rep.zeta
     assert not rep.all_passed
 
 
@@ -515,8 +533,9 @@ def _reference_windows(block_mats, marker_mats, lengths, *, energies, zeta, chi_
                 tower_module._dist_mod_pi(u_w, frames[k][0]),
                 tower_module._dist_mod_pi(s_w, frames[p0][1]),
             )
-            drift = np.where(hyp_w, drift, np.inf)
-            out["drift_failures"] += int(np.sum(~(drift <= zeta)))  # a NaN drift fails
+            # a NaN drift fails, and in a hyperbolic window it is the worst drift
+            drift = np.where(hyp_w & ~np.isnan(drift), drift, np.inf)
+            out["drift_failures"] += int(np.sum(~(drift <= zeta)))
             out["worst_drift"] = max(
                 out["worst_drift"], float(np.max(np.where(hyp_w, drift, 0.0), initial=0.0))
             )

@@ -3,7 +3,11 @@
 The runs are the four shipped configs in ``configs/``, ``verify`` at
 b = 163.4, 287.1 and 500 on the tower-bisect base config of
 ``perfbench/workloads.json`` (b = 500 is the tower-scan regime, where the
-level-1 scan finds far fewer components), ``decay`` on its spectra base config with a
+level-1 scan finds far fewer components), ``verify`` on that base config
+(b = 200) with ``refine_tol`` 4e-7, where every exclusion edge runs 13
+bisection rounds (one grid step of 6/2048 over 4e-7 is about 2^12.8), so
+the last multi-round pass of ``tower.exclusion_sets`` takes fewer than
+``BISECT_DEPTH`` = 3 rounds, ``decay`` on its spectra base config with a
 seeded random 4,096-letter sample word (a factor set of about 3,200 words,
 where the shipped Fibonacci config has 14), and one run each of ``tower``,
 ``words``, ``spectrum`` and every ``measure`` op.  Each goes through ``cli.dispatch``
@@ -62,6 +66,9 @@ def runs() -> list[tuple[str, str, dict]]:
         raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
         raw["potential"]["b"] = b
         out.append((f"verify_b{b}", "verify", raw))
+    raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
+    raw["refine_tol"] = 4e-7
+    out.append(("verify_tol4e-7", "verify", raw))
     sample = random.Random("artifact-digests:decay")
     raw = copy.deepcopy(spec["workloads"]["spectra"]["base_config"])
     raw["subshift"]["word"] = "".join(sample.choice("ab") for _ in range(4096))
