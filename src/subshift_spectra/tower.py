@@ -23,7 +23,7 @@ import numpy as np
 
 from .bands import spectrum_approximant
 from .intervals import IntervalSet
-from .sl2 import _angle_mod_pi, _dist_mod_pi, cocycle_stack, svd_angles_stack
+from .sl2 import _angle_mod_pi, _dist_mod_pi, cocycle_rows, cocycle_stack, svd_angles_stack
 from .words import Potential, ReturnStructure, SubshiftSpec, Word, return_structure
 
 PI = math.pi
@@ -38,6 +38,10 @@ BISECT_DEPTH = 3
 
 class ScheduleError(ValueError):
     """A schedule precondition or recursion failed; the message names it."""
+
+
+class CocycleOverflowError(RuntimeError):
+    """A core cocycle has a non-finite entry: its float64 product overflowed."""
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +423,24 @@ class ExclusionReport:
         return self.j_set.measure
 
 
+def _distinct_core_probes(
+    e: np.ndarray, ai: np.ndarray, bi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (core, energy) pairs that probes e[k] of the triples
+    (cores[ai[k]], cores[bi[k]], .) evaluate, over both roles.
+
+    Energies are keyed on their bits, so -0.0 and 0.0 stay apart and equal
+    NaNs merge.  Returns the core index and the energy of each pair, then the
+    pair index of each probe's alpha role and of its beta role.
+    """
+    _, e_id = np.unique(e.view(np.int64), return_inverse=True)
+    core = np.concatenate((ai, bi))
+    _, first, pair = np.unique(
+        core * e.size + np.tile(e_id, 2), return_index=True, return_inverse=True
+    )
+    return core[first], np.tile(e, 2)[first], pair[: e.size], pair[e.size :]
+
+
 def exclusion_sets(
     structure: ReturnStructure,
     level: int,
@@ -441,17 +463,20 @@ def exclusion_sets(
     arithmetic of a scan per triple), then one bisection that refines
     every component edge of every triple at once.  The edges of one
     (triple, side) run ceil(log2(max gap / refine_tol)) rounds, taken
-    ``BISECT_DEPTH`` at a time: one pass evaluates, on the probes of all
-    triples that use it, each distinct core and each marker power once, at
-    every midpoint the edges' next rounds could visit, and then takes those
-    rounds.  Each probe is the float a one-round loop would compute, so the
-    endpoints do not depend on the depth.  Recorded endpoints sit on the
-    outside of each component (conservative by at most ``refine_tol`` per
-    side); components entirely between grid points are missed, which is the
-    documented grid resolution limit.  Energies where either core's cocycle
-    is rotation-like are folded into the exclusion (tangency is then
-    undefined but hyperbolicity fails, which is exactly what exclusion must
-    cover).
+    ``BISECT_DEPTH`` at a time: one pass takes every midpoint the edges'
+    next rounds could visit, evaluates each distinct (core, energy) pair of
+    those probes once over both roles (alpha gives u, beta gives s), in one
+    cocycle recurrence and one split per core length, and each marker power
+    once per run length, and then takes those rounds.  Each probe is the
+    float a one-round loop would compute, so the endpoints do not depend on
+    the depth.  Recorded endpoints sit on the outside of each component
+    (conservative by at most ``refine_tol`` per side); components entirely
+    between grid points are missed, which is the documented grid resolution
+    limit.  Energies where either core's cocycle is rotation-like are folded
+    into the exclusion (tangency is then undefined but hyperbolicity fails,
+    which is exactly what exclusion must cover).  A core cocycle with a
+    non-finite entry, from float64 overflow on long cores, raises
+    ``CocycleOverflowError`` instead: its frames say nothing.
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
@@ -466,9 +491,30 @@ def exclusion_sets(
     runs = lv.runs
     warnings: list[str] = []
 
-    def core_frames(core: Word, energies: np.ndarray):
-        mats = cocycle_stack(core, energies, pot)
+    def frames_of(mats: np.ndarray, n_letters: int):
+        """Split a stack of core cocycles; raise on an overflowed entry."""
+        bad = ~np.isfinite(mats).all(axis=(-2, -1))
+        if bad.any():
+            raise CocycleOverflowError(
+                f"level-{level} core cocycle of {n_letters} letters is not finite at "
+                f"{int(bad.sum())} of {bad.size} energies (float64 overflow)"
+            )
         return svd_angles_stack(mats)
+
+    def core_frames(core: Word, energies: np.ndarray):
+        return frames_of(cocycle_stack(core, energies, pot), len(core))
+
+    # letter values v(letter) of every core, one (letters, cores) table per
+    # core length
+    core_length = np.array([len(core) for core in cores])
+    table_col = np.empty(len(cores), dtype=int)  # column of each core in its table
+    tables = {}
+    for n_letters in dict.fromkeys(core_length.tolist()):
+        ks = np.flatnonzero(core_length == n_letters)
+        table_col[ks] = np.arange(ks.size)
+        tables[n_letters] = np.array(
+            [[pot.value(cores[k][i]) for k in ks] for i in range(n_letters)]
+        )
 
     def unit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(t), np.sin(t)
@@ -489,15 +535,18 @@ def exclusion_sets(
     def member(e: np.ndarray, ai: np.ndarray, bi: np.ndarray, ji: np.ndarray) -> np.ndarray:
         """Sublevel membership of each probe e[k] for the triple
         (cores[ai[k]], cores[bi[k]], runs[ji[k]])."""
-        u_a, s_b, cpow = np.empty(e.size), np.empty(e.size), np.empty((e.size, 2, 2))
-        hyp = np.ones(e.size, dtype=bool)
-        for k, core in enumerate(cores):
-            use = (ai == k) | (bi == k)
-            if use.any():
-                u, s, _, h = core_frames(core, e[use])
-                u_a[ai == k] = u[ai[use] == k]
-                s_b[bi == k] = s[bi[use] == k]
-                hyp[use] &= h
+        # each distinct (core, energy) pair once, one recurrence per core length
+        core, energy, alpha_pair, beta_pair = _distinct_core_probes(e, ai, bi)
+        u, s, h = np.empty(energy.size), np.empty(energy.size), np.empty(energy.size, dtype=bool)
+        for n_letters, values in tables.items():
+            sel = np.flatnonzero(core_length[core] == n_letters)
+            if sel.size:
+                pair_e, col = energy[sel], table_col[core[sel]]
+                rows = cocycle_rows((pair_e - v[col] for v in values), sel.size)
+                mats = np.stack(rows, axis=-1).reshape(sel.size, 2, 2)
+                u[sel], s[sel], _, h[sel] = frames_of(mats, n_letters)
+        u_a, s_b, hyp = u[alpha_pair], s[beta_pair], h[alpha_pair] & h[beta_pair]
+        cpow = np.empty((e.size, 2, 2))
         for k, j in enumerate(runs):
             use = ji == k
             if use.any():
@@ -701,17 +750,22 @@ def verify_windows(
     log_c: float,
     r_max: int,
 ) -> AccelerationReport:
-    """Core window verification over stacked windows of one length at a time.
+    """Core window verification, one product and one split per window class.
 
     ``block_mats[k]`` is the (m, 2, 2) stack of the k-th core cocycle over
     the energy grid and ``marker_mats[k]`` the matching marker-run power that
-    precedes it; windows are all contiguous runs of 1..r_max entries.  Entries
-    that share one array share its frames, computed in one
-    ``svd_angles_stack`` call; the windows starting in one chunk of at most
-    ``WINDOW_MATRICES // m`` entries grow one entry at a time, with one
-    product and one ``svd_angles_stack`` call per window length.  Per window
-    and energy the arithmetic is that of a window-by-window loop, so counts
-    and extrema do not depend on the chunking.
+    precedes it; windows are all contiguous runs of 1..r_max entries.  A
+    window is a function of its entries' (block array, marker array, length)
+    sequence, so each entry gets an integer key and a window of length r the
+    class of the pair (class of its first r - 1 entries, key of its last
+    entry).  Entries that share one array share its frames, computed in one
+    ``svd_angles_stack`` call.  Per length, each class product is formed once
+    from its parent class, ``block @ (marker @ parent)``, and split, in
+    batches of at most ``WINDOW_MATRICES // m`` classes; the counts are
+    weighted by class size.  Per window and energy the arithmetic is that of
+    a window-by-window loop, so counts and extrema do not depend on the
+    classes or the batching.  Only the class products of the previous length,
+    at most one per entry, are kept from one length to the next.
     """
     n_entries = len(block_mats)
     m = energies.size
@@ -730,6 +784,9 @@ def verify_windows(
     ll_e = ll_b[bi]
     block_floor_failures = int(np.sum((~hyp_b | (ll_b < log_lam_bar - 1e-12))[bi]))
     block_chi_hits = int(np.sum(ll_e >= chi_n * lengths[:, None]))
+    shape = (len(blocks), len(markers), int(lengths.max(initial=0)) + 1)
+    _, key = np.unique(np.ravel_multi_index((bi, mi, lengths), shape), return_inverse=True)
+    n_keys = int(key.max(initial=-1)) + 1
 
     n_windows = 0
     n_checks = 0
@@ -747,41 +804,52 @@ def verify_windows(
         return float(pick(worst, pick.reduce(rows))) if rows.size else worst
 
     step = max(1, WINDOW_MATRICES // max(1, m))
-    for c0 in range(0, n_entries, step):
-        # windows starting at p0 = c0 .. c0 + w - 1, ending at entry k = p0 + r - 1
-        for r in range(1, r_max + 1):
-            w = min(c0 + step, n_entries - r + 1) - c0
-            if w <= 0:
-                break
-            k = slice(c0 + r - 1, c0 + r - 1 + w)
+    cls = np.zeros(n_entries, dtype=int)  # class of the window of length r - 1 at each start
+    for r in range(1, min(r_max, n_entries) + 1):
+        # class c of length r: its first window starts at first[c], its first
+        # r - 1 entries form class parent[c], its last entry is last[c]
+        prev = cls
+        _, first, cls = np.unique(
+            prev[: n_entries - r + 1] * n_keys + key[r - 1 :],
+            return_index=True,
+            return_inverse=True,
+        )
+        parent, last, weight = prev[first], first + r - 1, np.bincount(cls)
+        n_windows += n_entries - r + 1
+        n_checks += (n_entries - r + 1) * m
+        if r == 1:
+            acc = blocks[bi[last]]
+            sum_len, sum_ll = lengths[last], ll_e[last]
+        else:
+            acc_prev, acc = acc, np.empty((first.size, m, 2, 2))
+            sum_len = sum_len[parent] + lengths[last]
+            sum_ll = sum_ll[parent] + ll_e[last]
+        for c0 in range(0, first.size, step):
+            c = slice(c0, c0 + step)
+            b_last = bi[last[c]]
             if r == 1:
-                acc = blocks[bi[k]]
-                sum_len, sum_ll = lengths[k], ll_e[k]
-                u_w, s_w, ll_w, hyp_w = u_b[bi[k]], s_b[bi[k]], ll_e[k], hyp_b[bi[k]]
+                u_w, s_w, ll_w, hyp_w = u_b[b_last], s_b[b_last], ll_e[last[c]], hyp_b[b_last]
             else:
-                acc = blocks[bi[k]] @ (markers[mi[k]] @ acc[:w])
-                sum_len = sum_len[:w] + lengths[k]
-                sum_ll = sum_ll[:w] + ll_e[k]
-                u_w, s_w, ll_w, hyp_w = svd_angles_stack(acc)
-            n_windows += w
-            n_checks += w * m
+                acc[c] = blocks[b_last] @ (markers[mi[last[c]]] @ acc_prev[parent[c]])
+                u_w, s_w, ll_w, hyp_w = svd_angles_stack(acc[c])
+            w = weight[c]
 
-            hyper_violations += int(np.sum(~hyp_w))
-            u_drift = _dist_mod_pi(u_w, u_b[bi[k]])
-            s_drift = _dist_mod_pi(s_w, s_b[bi[c0 : c0 + w]])
+            hyper_violations += int(np.sum(~hyp_w, axis=1) @ w)
+            u_drift = _dist_mod_pi(u_w, u_b[b_last])
+            s_drift = _dist_mod_pi(s_w, s_b[bi[first[c]]])
             drift = np.maximum(u_drift, s_drift)
             # a rotation-like first or last block has NaN frames: its drift
             # fails, and in a hyperbolic window it is the worst drift
             drift = np.where(hyp_w & ~np.isnan(drift), drift, np.inf)
-            drift_failures += int(np.sum(~(drift <= zeta)))
+            drift_failures += int(np.sum(~(drift <= zeta), axis=1) @ w)
             worst_drift = fold(
                 worst_drift, np.max(np.where(hyp_w, drift, 0.0), axis=1, initial=0.0), np.maximum
             )
 
-            bound_chi = (chi_next * sum_len)[:, None]
-            bound_prod = -p_const * r * log_c + sum_ll + r * log_kappa
-            growth_chi_failures += int(np.sum(ll_w < bound_chi))
-            growth_product_failures += int(np.sum(ll_w < bound_prod))
+            bound_chi = (chi_next * sum_len[c])[:, None]
+            bound_prod = -p_const * r * log_c + sum_ll[c] + r * log_kappa
+            growth_chi_failures += int(np.sum(ll_w < bound_chi, axis=1) @ w)
+            growth_product_failures += int(np.sum(ll_w < bound_prod, axis=1) @ w)
             worst_margin = fold(worst_margin, np.min(ll_w - bound_chi, axis=1), np.minimum)
             worst_margin = fold(worst_margin, np.min(ll_w - bound_prod, axis=1), np.minimum)
 

@@ -147,6 +147,24 @@ def test_main_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+def test_verify_core_overflow_exit_code(tmp_path, capsys):
+    # level-2 cores at b = 200 overflow float64: the run fails, exit 1
+    cfg_path = write_config(
+        tmp_path,
+        {
+            "grid": 257,
+            "subshift": {"kind": "substitution", "rules": {"a": "ab", "b": "a"}, "seed_letter": "a"},
+            "potential": {"a": 0.0, "b": 200.0},
+            "tower": {"alpha0": "a", "levels": 2, "sample_len": 20000},
+            "suite": {"trials": 200},
+        },
+    )
+    code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run failed: level-2 core cocycle of 3271 letters is not finite" in err
+
+
 def test_seed_override(tmp_path):
     payload = {"potential": {"a": 0.0}, "spectrum": {"word": "a"}, "seed": 1}
     cfg_path = write_config(tmp_path, payload)

@@ -5,8 +5,9 @@ import pytest
 
 from subshift_spectra import FIBONACCI, IntervalSet, Periodic, Potential
 from subshift_spectra import tower as tower_module
-from subshift_spectra.sl2 import PI, cocycle_stack, svd_angles_stack
+from subshift_spectra.sl2 import PI, cocycle_rows, cocycle_stack, svd_angles_stack
 from subshift_spectra.tower import (
+    CocycleOverflowError,
     Constants,
     ScheduleError,
     acceleration_verify,
@@ -444,6 +445,69 @@ def test_component_cap_names_first_triple_in_alpha_beta_j_order(abc_structure):
         )
 
 
+def test_distinct_core_probes_keys_on_energy_bits():
+    nan, other_nan = float("nan"), np.array([0x7FF8000000000001]).view(float)[0]
+    e = np.array([0.5, -0.0, 0.0, 0.5, nan, 0.5, -0.0, nan, 1.25, other_nan])
+    ai = np.array([0, 1, 1, 2, 0, 1, 0, 0, 2, 0])
+    bi = np.array([1, 0, 1, 0, 2, 2, 1, 0, 2, 0])
+    core, energy, alpha_pair, beta_pair = tower_module._distinct_core_probes(e, ai, bi)
+    bits = e.view(np.int64).tolist()
+    # (1, 0.5) is a beta probe of entry 0 and an alpha probe of entry 5;
+    # -0.0 and 0.0 stay apart, equal NaNs merge and NaN payloads do not
+    want = set(zip(ai.tolist(), bits)) | set(zip(bi.tolist(), bits))
+    got = list(zip(core.tolist(), energy.view(np.int64).tolist()))
+    assert len(got) == len(want) == 10 and set(got) == want
+    for k in range(e.size):
+        assert got[alpha_pair[k]] == (ai[k], bits[k])
+        assert got[beta_pair[k]] == (bi[k], bits[k])
+
+
+def test_bisection_evaluates_each_distinct_core_probe_once(abc_structure, monkeypatch):
+    distinct = tower_module._distinct_core_probes
+    pairs, roles, evaluated = [], [], []
+
+    def recorded(e, ai, bi):
+        bits = e.view(np.int64).tolist()
+        pairs.append(len(set(zip(ai.tolist(), bits)) | set(zip(bi.tolist(), bits))))
+        roles.append(2 * e.size)
+        return distinct(e, ai, bi)
+
+    def counted(xs, shape):
+        evaluated.append(shape)
+        return cocycle_rows(xs, shape)
+
+    monkeypatch.setattr(tower_module, "_distinct_core_probes", recorded)
+    monkeypatch.setattr(tower_module, "cocycle_rows", counted)
+    rep = exclusion_sets(abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), 257, 1e-6)
+    assert sum(len(t.intervals) for t in rep.triples) > 2 * len(rep.triples)
+    # one recurrence per pass and core length covers exactly the distinct pairs
+    assert sum(evaluated) == sum(pairs) < sum(roles)
+    n_lengths = len({len(core) for core in abc_structure.level(0).cores})
+    assert len(pairs) <= len(evaluated) <= n_lengths * len(pairs)
+
+
+def test_probe_overflow_raises(abc_structure, monkeypatch):
+    def overflowed(xs, shape):
+        a, b, c, d = cocycle_rows(xs, shape)
+        a[0] = np.inf
+        return a, b, c, d
+
+    monkeypatch.setattr(tower_module, "cocycle_rows", overflowed)
+    msg = "level-0 core cocycle of 3 letters is not finite at 1 of"
+    with pytest.raises(CocycleOverflowError, match=msg):
+        exclusion_sets(abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), 257, 1e-6)
+
+
+def test_level2_core_overflow_fails_loudly():
+    # level-2 cores are 3,271 letters: their float64 cocycles overflow, and
+    # NaN frames must not pass as rotation-like and so excluded
+    pot = Potential({"a": 0.0, "b": 200.0})
+    with pytest.raises(CocycleOverflowError, match="level-2 core cocycle of 3271 letters"):
+        tower_pipeline(
+            FIBONACCI, pot, "a", gamma=0.1, gamma_prime=0.2, c=1.0, levels=2, sample_len=20000
+        )
+
+
 # -- acceleration ------------------------------------------------------------
 
 
@@ -559,8 +623,24 @@ def _random_sl2(gen, m, spread):
     return a / np.sqrt(np.abs(det))[:, None, None]
 
 
-@pytest.mark.parametrize("n_entries, r_max, chunk", [(11, 4, 24), (3, 6, 7), (7, 7, 2048)])
-def test_verify_windows_batched_equals_per_window(monkeypatch, n_entries, r_max, chunk):
+def _window_classes(keys, r_max):
+    """The number of distinct windows of each length 1..r_max of ``keys``."""
+    return [
+        len({tuple(keys[p : p + r]) for p in range(len(keys) - r + 1)}) for r in range(1, r_max + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_entries, r_max, chunk, periodic",
+    [
+        pytest.param(11, 4, 24, False, id="11-4-24"),
+        pytest.param(3, 6, 7, False, id="3-6-7"),
+        pytest.param(7, 7, 2048, False, id="7-7-2048"),
+        pytest.param(23, 5, 24, True, id="periodic-23-5-24"),
+        pytest.param(23, 5, 9, True, id="periodic-23-5-9"),
+    ],
+)
+def test_verify_windows_batched_equals_per_window(monkeypatch, n_entries, r_max, chunk, periodic):
     gen = np.random.default_rng(n_entries * 100 + r_max)
     m = 9
     energies = np.linspace(-1.0, 1.0, m)
@@ -576,6 +656,13 @@ def test_verify_windows_batched_equals_per_window(monkeypatch, n_entries, r_max,
     block_mats[-1] = block_mats[0].copy()
     marker_mats = [marks[i % 2] for i in range(n_entries)]
     lengths = [int(x) for x in gen.integers(1, 6, n_entries)]
+    if periodic:
+        # entries repeat with period 4, the rotation core inside the pattern,
+        # so windows fall into few classes of several windows each
+        lengths = [1 + i % 4 for i in range(n_entries)]
+        keys = [(id(b), id(mk), n) for b, mk, n in zip(block_mats, marker_mats, lengths)]
+        n_windows = sum(n_entries - r + 1 for r in range(1, r_max + 1))
+        assert sum(_window_classes(keys, r_max)) < n_windows / 3
     kwargs = dict(
         level=0, energies=energies, zeta=0.05, chi_n=0.5, chi_next=0.4,
         log_kappa=math.log(0.2), log_lam_bar=1.0, p_const=1, log_c=0.3, r_max=r_max,
@@ -618,12 +705,16 @@ def test_acceleration_svd_call_count(fib_result, monkeypatch, window_matrices):
     rep = acceleration_verify(fib_result.structure, fib_result.schedule, fib_result.pot,
                               energies, 0, r_max)
     lv = fib_result.structure.level(0)
-    chunks = math.ceil(len(lv.entries) / max(1, window_matrices // energies.size))
-    assert len(calls) <= len(lv.cores) + r_max * chunks
-    # every window and every distinct core is split exactly once
-    r1 = len(lv.entries)
+    # windows with equal (core, run, length) entry sequences are one class
+    classes = _window_classes([(e.core, e.run, e.length) for e in lv.entries], r_max)
+    step = max(1, window_matrices // energies.size)
+    assert sum(classes) < rep.n_windows / 10
+    # one call for the distinct cores, then class batches of every length >= 2
+    assert len(calls) == 1 + sum(math.ceil(n / step) for n in classes[1:])
+    # every distinct core and every window class of length >= 2 is split
+    # exactly once; a length-1 window takes its core's split
     assert sum(math.prod(shape) for shape in calls) == (
-        len(lv.cores) + rep.n_windows - r1
+        len(lv.cores) + sum(classes[1:])
     ) * energies.size
     assert rep.all_passed
 

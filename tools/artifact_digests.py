@@ -7,16 +7,20 @@ level-1 scan finds far fewer components), ``verify`` on that base config
 (b = 200) with ``refine_tol`` 4e-7, where every exclusion edge runs 13
 bisection rounds (one grid step of 6/2048 over 4e-7 is about 2^12.8), so
 the last multi-round pass of ``tower.exclusion_sets`` takes fewer than
-``BISECT_DEPTH`` = 3 rounds, ``decay`` on its spectra base config with a
-seeded random 4,096-letter sample word (a factor set of about 3,200 words,
-where the shipped Fibonacci config has 14), and one run each of ``tower``,
-``words``, ``spectrum`` and every ``measure`` op.  Each goes through ``cli.dispatch``
-into its own directory under one temporary directory; measure inputs are
-referenced by relative path, so every digest is independent of where the
-temporary directory lives.  Output is one ``sha256  relative/path`` line per
-artifact, sorted by path, so two checkouts write identical artifacts exactly
-when their outputs are equal.  A run that exits non-zero is named on stderr
-and makes the tool exit 1, since its artifacts are missing from the list:
+``BISECT_DEPTH`` = 3 rounds, ``verify`` on that base config with
+``accel_energies`` 2,049 and ``accel_r_max`` 8, where one window class is
+2,049 matrices, more than ``tower.WINDOW_MATRICES``, so every class product
+and split of ``tower.verify_windows`` runs in a batch of its own, ``decay``
+on its spectra base config with a seeded random 4,096-letter sample word (a
+factor set of about 3,200 words, where the shipped Fibonacci config has
+14), and one run each of ``tower``, ``words``, ``spectrum`` and every
+``measure`` op.  Each goes through ``cli.dispatch`` into its own directory
+under one temporary directory; measure inputs are referenced by relative
+path, so every digest is independent of where the temporary directory
+lives.  Output is one ``sha256  relative/path`` line per artifact, sorted
+by path, so two checkouts write identical artifacts exactly when their
+outputs are equal.  A run that exits non-zero is named on stderr and makes
+the tool exit 1, since its artifacts are missing from the list:
 
     python3 tools/artifact_digests.py > before.txt   # in one checkout
     python3 tools/artifact_digests.py > after.txt    # in the other
@@ -69,6 +73,9 @@ def runs() -> list[tuple[str, str, dict]]:
     raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
     raw["refine_tol"] = 4e-7
     out.append(("verify_tol4e-7", "verify", raw))
+    raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
+    raw["tower"].update(accel_energies=2049, accel_r_max=8)
+    out.append(("verify_accel2049_r8", "verify", raw))
     sample = random.Random("artifact-digests:decay")
     raw = copy.deepcopy(spec["workloads"]["spectra"]["base_config"])
     raw["subshift"]["word"] = "".join(sample.choice("ab") for _ in range(4096))
