@@ -89,7 +89,8 @@ def _sanitize(obj):
     """Make an object JSON-safe and deterministic (inf/nan become strings).
 
     Interval sets become ``[[lo, hi], ...]`` lists and other dataclasses their
-    ``_record``.
+    ``_record``.  ``config_hash`` serializes through it, and it defines the
+    values ``canonical_json`` writes.
     """
     if isinstance(obj, IntervalSet):
         return _sanitize(obj.intervals)
@@ -112,8 +113,67 @@ def _sanitize(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_encode_str = json.encoder.encode_basestring  # a JSON string literal, non-ASCII kept
+
+
+def _encode(obj, indent: str, out: list[str]) -> None:
+    """Append the canonical JSON text of ``obj`` to ``out``, nested under
+    ``indent``: the text ``json.dumps`` with ``sort_keys``, ``indent=2`` and
+    ``ensure_ascii=False`` gives for ``_sanitize(obj)``, in one walk."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        finite = not (math.isnan(obj) or math.isinf(obj))
+        out.append(float.__repr__(obj) if finite else _encode_str(fmt_num(obj)))
+    elif isinstance(obj, IntervalSet):
+        _encode(obj.intervals, indent, out)
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        _encode(_record(obj), indent, out)
+    elif isinstance(obj, dict):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        if not items:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in items:
+            out.append(sep + _encode_str(key) + ": ")
+            _encode(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif hasattr(obj, "item"):  # numpy scalar
+        _encode(obj.item(), indent, out)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Artifact text of ``obj``: sorted keys, two-space indent, non-ASCII
+    kept, floats by ``repr`` and non-finite floats as the strings "nan",
+    "inf" and "-inf", then a newline.  Exactly the bytes of
+    ``json.dumps(_sanitize(obj), sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``, written in one walk instead of two."""
+    out: list[str] = []
+    _encode(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def config_hash(config: dict) -> str:
@@ -293,8 +353,8 @@ def _meta(cfg: RunConfig) -> dict:
     }
 
 
-def _write_tower(cfg: RunConfig, out: Path, res: TowerResult) -> None:
-    """Write the artifacts of the ``tower`` command."""
+def _write_tower(out: Path, res: TowerResult, meta: dict) -> None:
+    """Write the artifacts of the ``tower`` command, each with ``meta``."""
     sched = res.schedule
     records = {
         "structure": _record(
@@ -341,7 +401,6 @@ def _write_tower(cfg: RunConfig, out: Path, res: TowerResult) -> None:
             for r in res.exclusions
         },
     }
-    meta = _meta(cfg)
     for stem, d in records.items():
         write_json(out / f"{stem}.json", {**d, **meta})
     intervals_csv(out / "jbar.csv", res.jbar)
@@ -520,7 +579,7 @@ def _tower_result(cfg: RunConfig) -> TowerResult:
 
 def _run_tower(cfg: RunConfig, out: Path, log) -> int:
     res = _tower_result(cfg)
-    _write_tower(cfg, out, res)
+    _write_tower(out, res, _meta(cfg))
     required_fails = [c for c in res.schedule.failed_checks() if c.required]
     log(
         f"tower: {len(res.schedule.levels)} levels, Jbar measure {res.jbar.measure:.6g}, "
@@ -531,8 +590,8 @@ def _run_tower(cfg: RunConfig, out: Path, log) -> int:
 
 def _run_verify(cfg: RunConfig, out: Path, log) -> int:
     res = _tower_result(cfg)
-    _write_tower(cfg, out, res)
     meta = _meta(cfg)
+    _write_tower(out, res, meta)
     accel = res.accel
     accel_d = _record(accel, n_energies=len(accel.energies), all_passed=accel.all_passed)
     write_json(out / "acceleration.json", {**accel_d, **meta})

@@ -164,28 +164,44 @@ def proj_dist(x, y) -> float:
     return min(m, PI - m)
 
 
-def _dist_mod_pi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dist_mod_pi(
+    a: np.ndarray,
+    b: np.ndarray,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Elementwise ``min(|a - b| % pi, pi - |a - b| % pi)``, bit for bit.
 
     ``m % pi == m`` exactly for m in [0, pi), so only the other entries (NaN
-    included) go through numpy's scalar-loop ``%``.
+    included) go through numpy's scalar-loop ``%``.  The result goes to
+    ``out`` when given (it may be ``a`` or ``b``), and ``work``, a float and
+    a boolean array of the result's shape, holds the intermediates, so a
+    caller that passes both allocates nothing.
     """
-    m = np.asarray(np.abs(a - b))
-    out = ~(m < PI)
-    if out.any():
-        m[out] %= PI
-    return np.minimum(m, PI - m)
+    tmp, mask = (None, None) if work is None else work
+    m = np.asarray(np.abs(np.subtract(a, b, out=out), out=out))
+    big = np.logical_not(np.less(m, PI, out=mask), out=mask)
+    if big.any():
+        m[big] %= PI
+    return np.minimum(m, np.subtract(PI, m, out=tmp), out=out)
 
 
-def _angle_mod_pi(x: np.ndarray) -> np.ndarray:
+def _angle_mod_pi(
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """``x % pi`` bit for bit for x in arctan2's range [-pi, pi] (and NaN).
 
     The fold adds pi to negative entries and takes pi off an entry equal to
     pi, so -0.0 and pi map to +0.0 and a negative x too small to survive the
-    addition maps to pi, as ``%`` does.
+    addition maps to pi, as ``%`` does.  ``out`` (it may be ``x``) and
+    ``work`` are as for ``_dist_mod_pi``.
     """
-    y = x + PI * (x < 0.0)
-    y[x >= PI] -= PI
+    tmp, mask = (None, None) if work is None else work
+    at_pi = np.greater_equal(x, PI, out=mask)
+    y = np.add(x, np.multiply(PI, np.less(x, 0.0, out=tmp), out=tmp), out=out)
+    y[at_pi] -= PI
     return y
 
 

@@ -460,8 +460,10 @@ def exclusion_sets(
 
     found by uniform sampling, one (cores, grid) pass per alpha core and
     marker-run length that covers every beta core at once (per energy the
-    arithmetic of a scan per triple), then one bisection that refines
-    every component edge of every triple at once.  The edges of one
+    arithmetic of a scan per triple), then one bisection that refines every
+    component edge of every triple at once.  The passes compute in one set
+    of (cores, grid) work arrays, made once per call and freed when it
+    returns, with the operations of the allocating form in the same order.  The edges of one
     (triple, side) run ceil(log2(max gap / refine_tol)) rounds, taken
     ``BISECT_DEPTH`` at a time: one pass takes every midpoint the edges'
     next rounds could visit, evaluates each distinct (core, energy) pair of
@@ -476,7 +478,8 @@ def exclusion_sets(
     into the exclusion (tangency is then undefined but hyperbolicity fails,
     which is exactly what exclusion must cover).  A core cocycle with a
     non-finite entry, from float64 overflow on long cores, raises
-    ``CocycleOverflowError`` instead: its frames say nothing.
+    ``CocycleOverflowError`` instead, without numpy overflow warnings: its
+    frames say nothing.
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
@@ -501,8 +504,12 @@ def exclusion_sets(
             )
         return svd_angles_stack(mats)
 
+    # long core cocycles may overflow: frames_of raises on them, so numpy's
+    # overflow warnings would only repeat its error
     def core_frames(core: Word, energies: np.ndarray):
-        return frames_of(cocycle_stack(core, energies, pot), len(core))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = cocycle_stack(core, energies, pot)
+        return frames_of(mats, len(core))
 
     # letter values v(letter) of every core, one (letters, cores) table per
     # core length
@@ -523,14 +530,22 @@ def exclusion_sets(
         """The marker power C^E_j applied to the alpha frame vector (vx, vy)."""
         return cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy, cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
 
+    def work_arrays(shape) -> tuple[np.ndarray, ...]:
+        """Work space of ``frame_angle``: rotated coordinates zx and zy, a
+        float and a boolean array for the mod-pi reductions."""
+        return (*np.empty((3, *shape)), np.empty(shape, dtype=bool))
+
     def frame_angle(
-        wx: np.ndarray, wy: np.ndarray, cr: np.ndarray, sr: np.ndarray
+        wx: np.ndarray, wy: np.ndarray, cr: np.ndarray, sr: np.ndarray,
+        out: np.ndarray, work: tuple[np.ndarray, ...],
     ) -> np.ndarray:
         """Raw projective angle phi of R_(pi/2 - s_b) (wx, wy), with (cr, sr) the
-        cosine and sine of pi/2 - s_b; g is its distance to pi/2."""
-        zx = cr * wx - sr * wy
-        zy = sr * wx + cr * wy
-        return _angle_mod_pi(np.arctan2(zy, zx))
+        cosine and sine of pi/2 - s_b, written to ``out``; g is its distance
+        to pi/2.  zx = cr wx - sr wy and zy = sr wx + cr wy."""
+        zx, zy, tmp, mask = work
+        np.subtract(np.multiply(cr, wx, out=zx), np.multiply(sr, wy, out=tmp), out=zx)
+        np.add(np.multiply(sr, wx, out=zy), np.multiply(cr, wy, out=tmp), out=zy)
+        return _angle_mod_pi(np.arctan2(zy, zx, out=out), out=out, work=(tmp, mask))
 
     def member(e: np.ndarray, ai: np.ndarray, bi: np.ndarray, ji: np.ndarray) -> np.ndarray:
         """Sublevel membership of each probe e[k] for the triple
@@ -542,7 +557,8 @@ def exclusion_sets(
             sel = np.flatnonzero(core_length[core] == n_letters)
             if sel.size:
                 pair_e, col = energy[sel], table_col[core[sel]]
-                rows = cocycle_rows((pair_e - v[col] for v in values), sel.size)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rows = cocycle_rows((pair_e - v[col] for v in values), sel.size)
                 mats = np.stack(rows, axis=-1).reshape(sel.size, 2, 2)
                 u[sel], s[sel], _, h[sel] = frames_of(mats, n_letters)
         u_a, s_b, hyp = u[alpha_pair], s[beta_pair], h[alpha_pair] & h[beta_pair]
@@ -551,7 +567,9 @@ def exclusion_sets(
             use = ji == k
             if use.any():
                 cpow[use] = cocycle_stack(structure.alpha0 * j, e[use], pot)
-        phi = frame_angle(*push(*unit(u_a), cpow), *unit(PI / 2 - s_b))
+        phi = frame_angle(
+            *push(*unit(u_a), cpow), *unit(PI / 2 - s_b), np.empty(e.size), work_arrays(e.shape)
+        )
         return np.where(hyp, _dist_mod_pi(phi, PI / 2) <= kappa, True)
 
     def n_rounds(gap: float) -> int:
@@ -570,17 +588,27 @@ def exclusion_sets(
     cr_d, sr_d = unit(PI / 2 - (s_all + frame_delta))
     de = grid_pts[1] - grid_pts[0]
 
+    # (cores, grid) work arrays of every scan pass, made once per call:
+    # fresh temporaries this large would each fault their pages in again
+    work = work_arrays((n_cores, grid))
+    phi, phi_u, phi_s = np.empty((3, n_cores, grid))
+    grid_member = np.empty((n_cores, grid), dtype=bool)
+
     def scan(
         vx: np.ndarray, vy: np.ndarray, vx_d: np.ndarray, vy_d: np.ndarray,
-        both: np.ndarray, cpow: np.ndarray,
+        not_both: np.ndarray, invalid: np.ndarray, cpow: np.ndarray,
     ) -> tuple:
         """One pass over every beta core for one alpha frame (vx, vy), shifted
-        frame (vx_d, vy_d) and marker power: row b of each (cores, grid) array belongs to the triple
-        (alpha, cores[b], j).  Returns the components as (row, start, end)
+        frame (vx_d, vy_d) and marker power: row b of each (cores, grid) array
+        belongs to the triple (alpha, cores[b], j).  ``not_both`` marks the
+        cells where either frame is rotation-like and ``invalid`` the grid
+        steps that touch one.  Returns the components as (row, start, end)
         arrays in row order and c1, c5 per row."""
+        *_, tmp, mask = work
         wx, wy = push(vx, vy, cpow)
-        phi = frame_angle(wx, wy, cr, sr)
-        grid_member = np.where(both, _dist_mod_pi(phi, PI / 2) <= kappa, True)
+        frame_angle(wx, wy, cr, sr, phi, work)
+        g = _dist_mod_pi(phi, PI / 2, out=phi_u, work=(tmp, mask))
+        np.logical_or(np.less_equal(g, kappa, out=grid_member), not_both, out=grid_member)
         flips = np.diff(grid_member.astype(np.int8), axis=1, prepend=0, append=0)
         rows, starts = np.nonzero(flips == 1)
         ends = np.nonzero(flips == -1)[1] - 1
@@ -588,14 +616,21 @@ def exclusion_sets(
         # empirical Lipschitz constant of the composed angle under
         # frame perturbations (the unnamed closeness constant):
         # perturb u and s separately and take the worst rate
-        sens = np.maximum(
-            _dist_mod_pi(frame_angle(*push(vx_d, vy_d, cpow), cr, sr), phi),
-            _dist_mod_pi(frame_angle(wx, wy, cr_d, sr_d), phi),
-        ) / frame_delta
-        c5 = np.max(np.where(both, sens, 0.0), axis=1, initial=0.0)
-        steps = _dist_mod_pi(phi[:, 1:], phi[:, :-1])
-        valid = both[:, 1:] & both[:, :-1]
-        c1 = np.min(np.where(valid, steps, np.inf), axis=1) / de
+        d_u = _dist_mod_pi(
+            frame_angle(*push(vx_d, vy_d, cpow), cr, sr, phi_u, work), phi, out=phi_u,
+            work=(tmp, mask),
+        )
+        d_s = _dist_mod_pi(
+            frame_angle(wx, wy, cr_d, sr_d, phi_s, work), phi, out=phi_s, work=(tmp, mask)
+        )
+        sens = np.divide(np.maximum(d_u, d_s, out=d_u), frame_delta, out=d_u)
+        np.copyto(sens, 0.0, where=not_both)
+        c5 = np.max(sens, axis=1, initial=0.0)
+        steps = _dist_mod_pi(
+            phi[:, 1:], phi[:, :-1], out=phi_s[:, 1:], work=(tmp[:, 1:], mask[:, 1:])
+        )
+        np.copyto(steps, np.inf, where=invalid)
+        c1 = np.min(steps, axis=1) / de
         return rows, starts, ends, c1.tolist(), c5.tolist()
 
     scans = {}  # (ai, ji) -> component rows, starts, ends, edge offsets, c1 and c5 per row
@@ -604,8 +639,9 @@ def exclusion_sets(
     for ai, alpha in enumerate(cores):
         u_a = frames[ai][0]
         (vx, vy), (vx_d, vy_d) = unit(u_a), unit(u_a + frame_delta)
-        both = hyp[ai] & hyp
-        per_run = [scan(vx, vy, vx_d, vy_d, both, cpow) for cpow in cpows]
+        not_both = ~(hyp[ai] & hyp)
+        invalid = not_both[:, 1:] | not_both[:, :-1]
+        per_run = [scan(vx, vy, vx_d, vy_d, not_both, invalid, cpow) for cpow in cpows]
         counts = np.array([np.bincount(rows, minlength=n_cores) for rows, *_ in per_run]).T
         if counts.max() > consts.triple_component_cap:
             bi, ji = np.unravel_index(np.argmax(counts > consts.triple_component_cap), counts.shape)

@@ -1,11 +1,20 @@
 import json
+import math
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from subshift_spectra import IntervalSet
 from subshift_spectra.cli import (
     ConfigError,
     RunConfig,
+    _sanitize,
+    canonical_json,
     dispatch,
     fmt_num,
     load_config,
@@ -31,6 +40,49 @@ def test_fmt_num():
     assert fmt_num(0.5) == "0.5"
     assert fmt_num(3) == "3"
     assert fmt_num(float("inf")) == "inf"
+
+
+@dataclass(frozen=True)
+class _Record:
+    name: str
+    value: object
+
+
+_leaf = st.one_of(
+    st.text(),
+    st.sampled_from(["Jₙ", "κ-tangent", 'quote " back \\ slash', "tab\tnew\nline", "\x00\x1f\u2028"]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e16, 2.0**53 + 2]),
+    st.integers(),
+    st.sampled_from([2**70, -(2**90)]),
+    st.booleans(),
+    st.none(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e3)), max_size=4).map(
+        lambda ps: IntervalSet.from_pairs([(lo, lo + w) for lo, w in ps])
+    ),
+)
+_tree = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=4),
+        st.builds(_Record, st.text(), inner),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tree)
+@example({"nested": {}, "empty": [], "t": (), "e": IntervalSet.empty(), "r": _Record("x", [])})
+@example([math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e16, 10**30, np.float64(-0.0)])
+def test_canonical_json_equals_two_pass_encoder(obj):
+    want = json.dumps(_sanitize(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_json(obj) == want
 
 
 def test_spectrum_single_site(tmp_path):
@@ -159,10 +211,14 @@ def test_verify_core_overflow_exit_code(tmp_path, capsys):
             "suite": {"trials": 200},
         },
     )
-    code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "run failed: level-2 core cocycle of 3271 letters is not finite" in err
+    # the named error alone: no numpy overflow warnings before it
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("run failed: level-2 core cocycle of 3271 letters is not finite")
 
 
 def test_seed_override(tmp_path):

@@ -170,6 +170,33 @@ def test_svd_angles_stack_matches_scalar(pot04):
         assert abs(log_lam[i] - split.log_lam) < 1e-12
 
 
+_split_params = st.tuples(
+    st.floats(-PI, PI), st.floats(0.01, 30.0), st.floats(-PI, PI)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_split_params, min_size=1, max_size=30))
+def test_svd_angles_stack_round_trip(params):
+    # random hyperbolic SL(2,R) stacks R_a . diag(lam, 1/lam) . R_b, log lam in [0.01, 30]
+    mats = np.stack([
+        (Mat2.rotation(a) @ Mat2.diagonal(math.exp(t)) @ Mat2.rotation(b)).as_array()
+        for a, t, b in params
+    ])
+    u, s, log_lam, hyp = svd_angles_stack(mats)
+    assert hyp.all()
+    for k, m in enumerate(mats):
+        lam = math.exp(log_lam[k])
+        rebuilt = (
+            Mat2.rotation(u[k]) @ Mat2.diagonal(lam) @ Mat2.rotation(PI / 2 - s[k])
+        ).as_array()
+        # the contract of test_svd_roundtrip_suite: error at most 1e-8 lam
+        assert np.linalg.norm(rebuilt - m) <= 1e-8 * lam
+        split = svd_angles(Mat2.from_array(m))
+        assert proj_dist(u[k], split.u) <= 1e-12 and proj_dist(s[k], split.s) <= 1e-12
+        assert abs(log_lam[k] - split.log_lam) <= 1e-12
+
+
 def test_proj_dist_examples():
     assert proj_dist(0.0, 0.0) == 0.0
     assert proj_dist(0.0, PI) == 0.0
@@ -204,11 +231,36 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+def _work(shape) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(shape), np.empty(shape, dtype=bool)
+
+
+def _column_views(x: np.ndarray):
+    """x as the last columns of a 2-row array, and out and work views of the
+    same column slice, as the scan's grid-step reduction passes them."""
+    rows = np.stack([x, x[::-1]])
+    pad = np.empty((2, x.size + 1))
+    pad[:, 1:] = rows
+    tmp, mask = _work((2, x.size + 1))
+    return rows, pad[:, 1:], np.empty((2, x.size + 1))[:, 1:], (tmp[:, 1:], mask[:, 1:])
+
+
 @_PROPS
 @given(st.lists(st.one_of(st.sampled_from(_ANGLE_EDGES), st.floats(-PI, PI)), max_size=40))
 def test_angle_mod_pi_bit_equal_to_remainder(xs):
     x = np.array(_ANGLE_EDGES + xs)
-    assert np.array_equal(_bits(_angle_mod_pi(x)), _bits(x % PI))
+    want = _bits(x % PI)
+    assert np.array_equal(_bits(_angle_mod_pi(x)), want)
+    # into a separate out, into x itself, and on column-sliced views
+    out = np.empty_like(x)
+    assert _angle_mod_pi(x, out=out, work=_work(x.shape)) is out
+    assert np.array_equal(_bits(out), want)
+    y = x.copy()
+    assert _angle_mod_pi(y, out=y, work=_work(x.shape)) is y
+    assert np.array_equal(_bits(y), want)
+    rows, view, out, work = _column_views(x)
+    assert np.array_equal(_bits(_angle_mod_pi(view, out=out, work=work)), _bits(rows % PI))
+    assert np.array_equal(_bits(_angle_mod_pi(view, out=view, work=work)), _bits(rows % PI))
 
 
 _dist_value = st.one_of(
@@ -222,13 +274,31 @@ _dist_value = st.one_of(
 @_PROPS
 @given(st.lists(st.tuples(_dist_value, _dist_value), max_size=40))
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_dist_mod_pi_bit_equal_to_remainder(pairs):
     edges = [(a, b) for a in _DIST_EDGES for b in (0.0, PI / 2, -PI)]
     a, b = np.array(edges + pairs).T
     m = np.abs(a - b) % PI
-    assert np.array_equal(_bits(_dist_mod_pi(a, b)), _bits(np.minimum(m, PI - m)))
+    want = _bits(np.minimum(m, PI - m))
+    assert np.array_equal(_bits(_dist_mod_pi(a, b)), want)
     # 0-d arguments go through the same reduction
     assert _bits(_dist_mod_pi(a[0], b[0])) == _bits(np.minimum(m[0], PI - m[0]))
+    # into a separate out, into a or b itself, and against a scalar
+    out = np.empty_like(a)
+    assert _dist_mod_pi(a, b, out=out, work=_work(a.shape)) is out
+    assert np.array_equal(_bits(out), want)
+    for alias in (0, 1):
+        args = [a.copy(), b.copy()]
+        assert _dist_mod_pi(*args, out=args[alias], work=_work(a.shape)) is args[alias]
+        assert np.array_equal(_bits(args[alias]), want)
+    m_half = np.abs(a - PI / 2) % PI
+    out = _dist_mod_pi(a, PI / 2, out=np.empty_like(a), work=_work(a.shape))
+    assert np.array_equal(_bits(out), _bits(np.minimum(m_half, PI - m_half)))
+    # neighbouring columns of one array, as the scan's grid steps
+    rows, view, out, (tmp, mask) = _column_views(a)
+    m = np.abs(rows[:, 1:] - rows[:, :-1]) % PI
+    got = _dist_mod_pi(view[:, 1:], view[:, :-1], out=out[:, 1:], work=(tmp[:, 1:], mask[:, 1:]))
+    assert np.array_equal(_bits(got), _bits(np.minimum(m, PI - m)))
 
 
 def test_peak_angle_identity():

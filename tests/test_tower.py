@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -501,8 +502,12 @@ def test_probe_overflow_raises(abc_structure, monkeypatch):
 def test_level2_core_overflow_fails_loudly():
     # level-2 cores are 3,271 letters: their float64 cocycles overflow, and
     # NaN frames must not pass as rotation-like and so excluded
+    # (and the overflow is reported by that error alone, without numpy warnings)
     pot = Potential({"a": 0.0, "b": 200.0})
-    with pytest.raises(CocycleOverflowError, match="level-2 core cocycle of 3271 letters"):
+    with warnings.catch_warnings(), pytest.raises(
+        CocycleOverflowError, match="level-2 core cocycle of 3271 letters"
+    ):
+        warnings.simplefilter("error")
         tower_pipeline(
             FIBONACCI, pot, "a", gamma=0.1, gamma_prime=0.2, c=1.0, levels=2, sample_len=20000
         )
