@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bands import apriori_envelope, discriminant, periodic_bands, spectrum_approximant
+from .bands import discriminant, periodic_bands, spectrum_approximant
 from .experiments import (
     adz_construct,
     complexity_growth_check,
@@ -18,7 +18,6 @@ from .sl2 import (
     cone_certificate,
     peak_angle,
     proj_dist,
-    scaled_product_check,
     svd_angles,
     transfer_matrix,
 )
@@ -34,7 +33,6 @@ from .tower import (
 )
 from .words import (
     AdzStages,
-    Alphabet,
     FIBONACCI,
     Periodic,
     Potential,
@@ -43,7 +41,6 @@ from .words import (
     Substitution,
     adz_next_stage,
     complexity,
-    head_tail_cores,
     return_structure,
     run_stats,
     sample_word,

@@ -154,15 +154,3 @@ def spectrum_approximant(
     """
     return periodic_bands(factor_set(spec, n, sample_len), pot)
 
-
-def apriori_envelope(pot: Potential, h: float) -> IntervalSet:
-    """Union of [v - H, v + H] over the potential values.
-
-    Outside this envelope every letter's transfer matrix shares an invariant
-    cone (see ``sl2.cone_certificate``), so the spectrum cannot reach there.
-    """
-    if h <= 0:
-        raise ValueError("H must be > 0")
-    return IntervalSet.from_pairs(
-        [(v - h, v + h) for v in pot.values.values()]
-    )

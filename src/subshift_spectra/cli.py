@@ -85,41 +85,12 @@ def _record(
     return out
 
 
-def _sanitize(obj):
-    """Make an object JSON-safe and deterministic (inf/nan become strings).
-
-    Interval sets become ``[[lo, hi], ...]`` lists and other dataclasses their
-    ``_record``.  ``config_hash`` serializes through it, and it defines the
-    values ``canonical_json`` writes.
-    """
-    if isinstance(obj, IntervalSet):
-        return _sanitize(obj.intervals)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _sanitize(_record(obj))
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, str)) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return fmt_num(obj)
-        return obj
-    if hasattr(obj, "item"):  # numpy scalar
-        return _sanitize(obj.item())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 _encode_str = json.encoder.encode_basestring  # a JSON string literal, non-ASCII kept
 
 
 def _encode(obj, indent: str, out: list[str]) -> None:
     """Append the canonical JSON text of ``obj`` to ``out``, nested under
-    ``indent``: the text ``json.dumps`` with ``sort_keys``, ``indent=2`` and
-    ``ensure_ascii=False`` gives for ``_sanitize(obj)``, in one walk."""
+    ``indent``."""
     if isinstance(obj, str):
         out.append(_encode_str(obj))
     elif obj is None:
@@ -167,9 +138,8 @@ def _encode(obj, indent: str, out: list[str]) -> None:
 def canonical_json(obj) -> str:
     """Artifact text of ``obj``: sorted keys, two-space indent, non-ASCII
     kept, floats by ``repr`` and non-finite floats as the strings "nan",
-    "inf" and "-inf", then a newline.  Exactly the bytes of
-    ``json.dumps(_sanitize(obj), sort_keys=True, indent=2,
-    ensure_ascii=False) + "\\n"``, written in one walk instead of two."""
+    "inf" and "-inf", interval sets as ``[[lo, hi], ...]`` lists and other
+    dataclasses as their ``_record``, then a newline, in one walk."""
     out: list[str] = []
     _encode(obj, "", out)
     out.append("\n")
@@ -177,7 +147,7 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(config: dict) -> str:
-    payload = json.dumps(_sanitize(config), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -268,9 +238,8 @@ class RunConfig:
         self.c = self.get("c", float, 1.0)
         self.grid = self.get("grid", int, 2049)
         self.refine_tol = self.get("refine_tol", float, 1e-7)
-        for name in ("refine_tol",):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+        if self.refine_tol <= 0:
+            raise ConfigError("refine_tol must be > 0")
         self.consts = Constants(
             H=self.get("H", float, 3.0),
             cone_gap=self.get("cone_gap", float, 3.0),
@@ -291,7 +260,7 @@ class RunConfig:
         value = (self.raw.get(section[0], {}) if section else self.raw).get(key, default)
         try:
             return kind(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             problem = "is missing or null" if value is None else f"has the wrong type: {value!r}"
             raise ConfigError(f"config value {path!r} {problem}") from exc
 
@@ -307,7 +276,7 @@ class RunConfig:
             raise ConfigError("config needs a 'potential' object of letter -> value")
         try:
             return Potential({str(k): float(v) for k, v in sec.items()})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def subshift(self) -> SubshiftSpec:
@@ -330,9 +299,18 @@ class RunConfig:
         raise ConfigError(f"unknown subshift kind {kind!r}")
 
 
+def _finite_number(text: str) -> float:
+    """JSON number hook: NaN, Infinity and literals that overflow are config errors."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"config number {text} is not finite")
+    return x
+
+
 def load_config(path: str | Path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -184,7 +184,7 @@ def adz_construct(
         pot.value(ch)  # raises if missing
 
     words = list(letters)
-    bands = _stage_bands(words, pot)
+    bands = periodic_bands(words, pot)
     run = AdzRun(
         eps=eps,
         pot=pot,
@@ -206,7 +206,7 @@ def adz_construct(
                     f"stage {n + 1}: words exceed {max_word_len} letters at N={trial} "
                     f"before retention was met (best deficit {best:.3e} vs budget {budget:.3e})"
                 )
-            next_bands = _stage_bands(next_words, pot)
+            next_bands = periodic_bands(next_words, pot)
             deficit = cur.bands.difference(next_bands).measure
             run.searched.append((n + 1, trial, deficit))
             best = min(best, deficit)
@@ -227,10 +227,6 @@ def adz_construct(
     run.final_measure = run.stages[-1].bands.measure
     run.retained_half = run.final_measure >= 0.5 * run.sigma1_measure
     return run
-
-
-def _stage_bands(words: list[Word], pot: Potential) -> IntervalSet:
-    return periodic_bands(words, pot)
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,6 @@ class IntervalSet:
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
 
-    @property
-    def span(self) -> tuple[float, float] | None:
-        if not self.intervals:
-            return None
-        return self.intervals[0][0], self.intervals[-1][1]
-
     def contains_point(self, x: float) -> bool:
         return any(lo <= x <= hi for lo, hi in self.intervals)
 

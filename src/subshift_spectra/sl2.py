@@ -3,8 +3,8 @@
 Transfer matrices and their ordered cocycle products (one vectorized
 two-row recurrence over an energy grid), the projective angle
 metric, the rotation-dilation-rotation (2x2 SVD) split of a hyperbolic
-matrix, closed-form growth/angle estimates for diagonally sandwiched
-products, and the cone certificate for far-from-resonance energies.
+matrix, the closed-form peak angle of diagonally sandwiched products,
+and the cone certificate for far-from-resonance energies.
 
 Conventions: R_t is the counterclockwise rotation by t; a hyperbolic
 A in SL(2,R) splits as
@@ -79,9 +79,6 @@ class Mat2:
         """Spectral norm, assuming det = 1 (exact closed form)."""
         t = self.frob2
         return 0.5 * (math.sqrt(t + 2.0) + math.sqrt(max(t - 2.0, 0.0)))
-
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return self.a * x + self.b * y, self.c * x + self.d * y
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]])
@@ -225,14 +222,6 @@ class SvdAngles:
     lam: float
 
     @property
-    def u_mod_pi(self) -> float:
-        return proj_angle(self.u)
-
-    @property
-    def s_mod_pi(self) -> float:
-        return proj_angle(self.s)
-
-    @property
     def log_lam(self) -> float:
         return math.log(self.lam)
 
@@ -342,82 +331,6 @@ def peak_angle(lam0: float, lam1: float, d: Mat2) -> PeakAngle:
         raise DegenerateAngleError("L2 = 0: critical angle is degenerate")
     theta = 0.5 * math.atan(-2.0 * l1 / l2)
     return PeakAngle(theta, l1, l2)
-
-
-@dataclass(frozen=True)
-class ScaledProductReport:
-    """Outcome of checking A = diag(lam1,.) D diag(lam0,.) against the
-    growth/drift conclusions with a configured slack constant."""
-
-    hypotheses_met: bool
-    failed_hypotheses: tuple[str, ...]
-    hyperbolic: bool
-    lam: float
-    growth_ratio: float  # lam(A) / (C0^-1 lam0 lam1 kappa)
-    u_drift: float  # |u(A)| mod pi
-    s_drift: float  # |pi/2 - s(A)| mod pi
-    drift_ceiling: float  # c_slack * C0^4 * lam_floor^-2 kappa^-2
-    growth_ok: bool
-    drift_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.hypotheses_met and self.hyperbolic and self.growth_ok and self.drift_ok
-
-
-def scaled_product_check(
-    lam0: float,
-    lam1: float,
-    d: Mat2,
-    c0: float,
-    kappa: float,
-    lam_floor: float,
-    c_slack: float = 100.0,
-) -> ScaledProductReport:
-    """Verify the hyperbolicity conclusions for a diagonally sandwiched product.
-
-    Hypotheses checked, not assumed: ||D|| <= C0, min(lam0, lam1) >= lam_floor,
-    and angle(D e1, e2) > kappa > lam_floor^(-1/4).  When any fails, the report
-    is flagged ``hypotheses-unmet`` and no conclusion is asserted.  Otherwise
-    the report records |tr A| > 2, lam(A) against C0^-1 lam0 lam1 kappa, and
-    the angle drifts |u(A)|, |pi/2 - s(A)| against c_slack * C0^4 *
-    lam_floor^-2 kappa^-2.
-    """
-    failed = []
-    if d.norm > c0:
-        failed.append("||D|| <= C0")
-    if min(lam0, lam1) < lam_floor:
-        failed.append("min(lam0, lam1) >= lam_floor")
-    angle = proj_dist((d.a, d.c), PI / 2)
-    if not angle > kappa:
-        failed.append("angle(D e1, e2) > kappa")
-    if not kappa > lam_floor ** (-0.25):
-        failed.append("kappa > lam_floor^(-1/4)")
-
-    a = Mat2.diagonal(lam1) @ d @ Mat2.diagonal(lam0)
-    hyperbolic = abs(a.trace) > 2.0
-    ceiling = c_slack * c0**4 * lam_floor**-2 * kappa**-2
-    try:
-        split = svd_angles(a)
-        lam = split.lam
-        u_drift = proj_dist(split.u, 0.0)
-        s_drift = proj_dist(split.s, PI / 2)
-    except EllipticError:
-        lam = a.norm
-        u_drift = s_drift = math.nan
-
-    ratio = lam / (lam0 * lam1 * kappa / c0)
-    if failed:
-        return ScaledProductReport(
-            False, tuple(failed), hyperbolic, lam, ratio, u_drift, s_drift,
-            ceiling, False, False,
-        )
-    growth_ok = ratio >= 1.0 / c_slack
-    drift_ok = u_drift <= ceiling and s_drift <= ceiling
-    return ScaledProductReport(
-        True, (), hyperbolic, lam, ratio, u_drift, s_drift, ceiling,
-        growth_ok, drift_ok,
-    )
 
 
 # ---------------------------------------------------------------------------

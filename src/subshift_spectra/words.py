@@ -25,41 +25,11 @@ class RunLengthError(ValueError):
     """A marker-letter run exceeds the configured cap K_max."""
 
 
-class StructureError(ValueError):
-    """A word cannot be decomposed against the recorded return structure."""
-
-
 def letter(index: int) -> Letter:
     """Letter for a small integer index: 0 -> 'a', 1 -> 'b', ..."""
     if not 0 <= index < 26:
         raise ValueError(f"letter index {index} out of range 0..25")
     return chr(ord("a") + index)
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered finite alphabet of at least two distinct letters."""
-
-    letters: tuple[Letter, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.letters) < 2:
-            raise ValueError("alphabet needs at least 2 letters")
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError("alphabet letters must be distinct")
-        for ch in self.letters:
-            if len(ch) != 1:
-                raise ValueError(f"letters are single characters, got {ch!r}")
-
-    @classmethod
-    def of_size(cls, k: int) -> "Alphabet":
-        return cls(tuple(letter(i) for i in range(k)))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __contains__(self, ch: object) -> bool:
-        return ch in self.letters
 
 
 @dataclass(frozen=True)
@@ -176,21 +146,6 @@ SubshiftSpec = Union[Periodic, Substitution, AdzStages, Sample]
 FIBONACCI = Substitution({"a": "ab", "b": "a"}, "a")
 
 
-def spec_alphabet(spec: SubshiftSpec) -> tuple[Letter, ...]:
-    """Letters the generator can emit, in first-appearance order."""
-    if isinstance(spec, Periodic):
-        seen = dict.fromkeys(spec.word)
-    elif isinstance(spec, Substitution):
-        seen = dict.fromkeys(spec.rules)
-    elif isinstance(spec, AdzStages):
-        seen = dict.fromkeys(ch for stage in spec.stages for w in stage for ch in w)
-    elif isinstance(spec, Sample):
-        seen = dict.fromkeys(spec.word)
-    else:
-        raise TypeError(f"not a subshift spec: {spec!r}")
-    return tuple(seen)
-
-
 def sample_word(spec: SubshiftSpec, length: int) -> Word:
     """Deterministic factor of the specified system with exactly ``length`` letters.
 
@@ -297,10 +252,6 @@ class RunStats:
     max_run: dict[Letter, int]
     window: float  # minimal L with every length-L window containing all letters; inf if none
 
-    @property
-    def max_run_overall(self) -> int:
-        return max(self.max_run.values(), default=0)
-
 
 def run_stats(
     spec: SubshiftSpec, sample_len: int, alphabet: Sequence[Letter] | None = None
@@ -401,9 +352,6 @@ class ReturnStructure:
             raise ValueError(f"level {n} not built (have 0..{len(self.levels) - 1})")
         return self.levels[n]
 
-    def entry_word(self, entry: ReturnEntry) -> Word:
-        return self.alpha0 * entry.run + entry.core
-
 
 def _combine(alpha0: Letter, block: Sequence[ReturnEntry]) -> ReturnEntry:
     core = block[0].core + "".join(alpha0 * e.run + e.core for e in block[1:])
@@ -481,46 +429,3 @@ def return_structure(
         structure.levels.append(ReturnLevel(lvl, grouped, arity))
     return structure
 
-
-def head_tail_cores(
-    structure: ReturnStructure,
-    level: int,
-    entry: ReturnEntry | Word,
-    m: int,
-) -> tuple[Word, Word]:
-    """Level-``m`` core beginning and ending a level-``level`` entry.
-
-    Both outputs are literal prefix/suffix of the entry's core; a violation
-    means the structure does not decompose the entry and raises
-    ``StructureError``.
-    """
-    if not 0 <= m < level:
-        raise ValueError(f"need 0 <= m < level, got m={m}, level={level}")
-    top = structure.level(level)
-    if isinstance(entry, ReturnEntry):
-        matches = [i for i, e in enumerate(top.entries) if e == entry]
-        core = entry.core
-    else:
-        matches = [i for i, e in enumerate(top.entries) if e.core == entry]
-        core = entry
-    if not matches:
-        raise StructureError(f"entry with core {core!r} not recorded at level {level}")
-    pos = matches[0]
-
-    span = 1
-    for lvl in range(m + 1, level + 1):
-        arity = structure.level(lvl).group_arity
-        assert arity is not None
-        span *= arity
-    base = structure.level(m).entries
-    first = base[pos * span]
-    last = base[(pos + 1) * span - 1]
-    if not core.startswith(first.core):
-        raise StructureError(
-            f"level-{m} core {first.core!r} is not a prefix of {core!r}"
-        )
-    if not core.endswith(last.core):
-        raise StructureError(
-            f"level-{m} core {last.core!r} is not a suffix of {core!r}"
-        )
-    return first.core, last.core

@@ -9,7 +9,6 @@ from subshift_spectra import (
     IntervalSet,
     Periodic,
     Potential,
-    apriori_envelope,
     cone_certificate,
     discriminant,
     periodic_bands,
@@ -145,21 +144,10 @@ def test_approximant_measure_monotone_over_doublings():
     assert all(b <= a + 1e-12 for a, b in zip(measures, measures[1:]))
 
 
-def test_apriori_envelope_examples():
-    env = apriori_envelope(Potential({"a": 0.0, "b": 10.0}), 3.0)
-    assert env.intervals == ((-3.0, 3.0), (7.0, 13.0))
-    assert env.measure == 12.0
-    merged = apriori_envelope(Potential({"a": 0.0, "b": 4.0}), 3.0)
-    assert merged.intervals == ((-3.0, 7.0),)
-    assert merged.measure == 10.0
-    with pytest.raises(ValueError):
-        apriori_envelope(Potential({"a": 0.0}), 0.0)
-
-
 def test_cone_certified_outside_envelope():
     lam = 100.0
     pot = Potential({"a": 0.0, "b": lam})
-    env = apriori_envelope(pot, 3.0)
+    env = IntervalSet.from_pairs([(v - 3.0, v + 3.0) for v in pot.values.values()])
     window = IntervalSet.single(-20.0, lam + 20.0)
     for lo, hi in window.difference(env):
         for e in np.linspace(lo + 1e-9, hi - 1e-9, 25):

@@ -1,7 +1,8 @@
+import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from subshift_spectra import IntervalSet
 from subshift_spectra.cli import (
     ConfigError,
     RunConfig,
-    _sanitize,
+    _record,
     canonical_json,
+    config_hash,
     dispatch,
     fmt_num,
     load_config,
@@ -33,6 +35,32 @@ def run(tmp_path, command, payload, out="out"):
     cfg = load_config(write_config(tmp_path, payload, f"{command}.json"))
     code = dispatch(command, cfg, tmp_path / out, quiet=True)
     return code, tmp_path / out
+
+
+def _sanitize(obj):
+    """Reference form of a value as JSON data: inf and nan become strings,
+    interval sets ``[[lo, hi], ...]`` lists and other dataclasses their
+    ``_record``.  ``canonical_json`` and ``config_hash`` must write exactly
+    what ``json.dumps`` writes for it."""
+    if isinstance(obj, IntervalSet):
+        return _sanitize(obj.intervals)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _sanitize(_record(obj))
+    if isinstance(obj, dict):
+        return {str(k): _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, str)) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            return fmt_num(obj)
+        return obj
+    if hasattr(obj, "item"):  # numpy scalar
+        return _sanitize(obj.item())
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def test_fmt_num():
@@ -294,6 +322,78 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, override
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and key in err
     assert not (tmp_path / "o").exists()
+
+
+CONFIGS = VERIFY_LAM400.parent
+HUGE_INT = "1" + "0" * 400  # an integer literal beyond the float range
+
+
+@pytest.mark.parametrize(
+    "command, literal, needle",
+    [
+        ("spectrum", "NaN", "NaN"),
+        ("decay", "Infinity", "Infinity"),
+        ("spectrum", "1e999", "1e999"),
+        ("spectrum", HUGE_INT, "too large"),
+        ("decay", HUGE_INT, "'H'"),
+    ],
+    ids=["nan_potential", "infinite_H", "overflowing_float", "huge_int_potential", "huge_int_H"],
+)
+def test_non_finite_config_number_rejected(tmp_path, capsys, command, literal, needle):
+    if command == "decay":
+        text = (CONFIGS / "acceptance_decay.json").read_text().replace('"H": 3.0', f'"H": {literal}')
+        assert literal in text
+    else:
+        text = f'{{"potential": {{"a": 0.0, "b": {literal}}}, "spectrum": {{"word": "ab"}}}}'
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and needle in err
+    assert not list((tmp_path / "o").rglob("*"))  # no artifact
+
+
+_json_value = st.recursive(
+    st.one_of(
+        st.text(),
+        st.integers(),
+        st.sampled_from([2**70, -(2**90)]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.booleans(),
+        st.none(),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(), _json_value, max_size=6))
+def test_config_hash_equals_sanitized_dump(config):
+    payload = json.dumps(_sanitize(config), sort_keys=True, separators=(",", ":"))
+    assert config_hash(config) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("acceptance_adz.json", "eabd8fbce74344029a179e1b6a507520c223969b2375e58f00af3afa5808a444"),
+        ("acceptance_decay.json", "b8145ecf44676aaef2847c5ea8e092c1f55d2de26e167d30fa4b60b2107d3902"),
+        (
+            "acceptance_verify_lam200.json",
+            "74597a4773c3aac1f2f44fa137cc3c470ec01ffa19a858475898fc3660ff5809",
+        ),
+        (
+            "acceptance_verify_lam400.json",
+            "3949fb068cd3204a476737e2a1efb7a88d2b6c2355e321980b75b3049f6968ed",
+        ),
+    ],
+)
+def test_shipped_config_hashes_pinned(name, digest):
+    assert config_hash(load_config(CONFIGS / name).raw) == digest
 
 
 META_KEYS = {"config", "config_sha256", "seed", "tool_version"}

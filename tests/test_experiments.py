@@ -15,7 +15,6 @@ from subshift_spectra.experiments import (
     elliptic_interval_check,
     fit_decay,
     scaled_product_suite,
-    _stage_bands,
 )
 from subshift_spectra.words import factor_set
 
@@ -110,7 +109,7 @@ def test_decay_sweep_matches_full_factor_set(subshift):
 
 def test_adz_stage1_bands_exact():
     pot = Potential({"a": 0.0, "b": 1.0})
-    bands = _stage_bands(["a", "b"], pot)
+    bands = periodic_bands(["a", "b"], pot)
     assert bands.intervals == ((-2.0, 3.0),)
 
 
@@ -190,7 +189,7 @@ def test_complexity_growth_negative_control():
         eps=0.5,
         pot=pot,
         stages=[
-            AdzStageRecord(1, ["a", "b"], _stage_bands(["a", "b"], pot), None, None, None),
+            AdzStageRecord(1, ["a", "b"], periodic_bands(["a", "b"], pot), None, None, None),
             AdzStageRecord(2, [db], IntervalSet.empty(), None, None, None),
         ],
         sigma1_measure=5.0,
@@ -207,7 +206,7 @@ def test_complexity_growth_periodic_control():
         eps=0.5,
         pot=pot,
         stages=[
-            AdzStageRecord(1, ["a", "b"], _stage_bands(["a", "b"], pot), None, None, None),
+            AdzStageRecord(1, ["a", "b"], periodic_bands(["a", "b"], pot), None, None, None),
             AdzStageRecord(2, ["abab"], IntervalSet.empty(), None, None, None),
         ],
         sigma1_measure=5.0,

@@ -101,8 +101,6 @@ def test_difference_complements_intersection():
 def test_clip_and_span():
     s = make((0, 1), (4, 6))
     assert s.clip(0.5, 5).intervals == ((0.5, 1.0), (4.0, 5.0))
-    assert s.span == (0.0, 6.0)
-    assert IntervalSet.empty().span is None
 
 
 def test_interval_algebra_dispatch():

@@ -18,7 +18,6 @@ from subshift_spectra.sl2 import (
     proj_angle,
     proj_dist,
     random_transfer_products,
-    scaled_product_check,
     svd_angles,
     svd_angles_stack,
 )
@@ -349,20 +348,6 @@ def test_peak_angle_outside_hypotheses_still_computes():
 def test_peak_angle_degenerate():
     with pytest.raises(DegenerateAngleError):
         peak_angle(2.0, 2.0, Mat2(0.0, 1.0, -1.0, 0.0))
-
-
-def test_scaled_product_identity_case():
-    rep = scaled_product_check(1e3, 1e3, Mat2.IDENTITY, c0=10.0, kappa=0.5, lam_floor=1e3)
-    assert rep.hypotheses_met and rep.hyperbolic and rep.passed
-    assert rep.lam == pytest.approx(1e6)
-    assert rep.u_drift == 0.0 and rep.s_drift == 0.0
-
-
-def test_scaled_product_hypotheses_unmet():
-    rep = scaled_product_check(2.0, 2.0, Mat2.IDENTITY, c0=10.0, kappa=0.5, lam_floor=1e3)
-    assert not rep.hypotheses_met
-    assert "min(lam0, lam1) >= lam_floor" in rep.failed_hypotheses
-    assert not rep.passed
 
 
 def test_cone_certificate_examples():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from subshift_spectra import (
     AdzStages,
-    Alphabet,
     FIBONACCI,
     Periodic,
     Potential,
@@ -14,7 +13,6 @@ from subshift_spectra import (
     Substitution,
     adz_next_stage,
     complexity,
-    head_tail_cores,
     return_structure,
     run_stats,
     sample_word,
@@ -22,7 +20,6 @@ from subshift_spectra import (
 from subshift_spectra.words import (
     ReturnEntry,
     RunLengthError,
-    StructureError,
     _combine,
     bracelet_representatives,
     factor_set,
@@ -62,11 +59,6 @@ def test_adz_stage_sampling():
 
 
 def test_alphabet_and_potential_validation():
-    with pytest.raises(ValueError):
-        Alphabet(("a",))
-    with pytest.raises(ValueError):
-        Alphabet(("a", "a"))
-    assert len(Alphabet.of_size(3)) == 3
     with pytest.raises(ValueError):
         Potential({"a": 1.0, "b": 1.0})
     assert Potential({"a": 0.0, "b": 4.0, "c": 9.0}).sparseness == 4.0
@@ -255,31 +247,6 @@ def test_return_structure_errors():
         return_structure(Periodic("ab"), "a", 1, [40], 100)
 
 
-def test_head_tail_cores():
-    rs = return_structure(Periodic("aabab"), "a", 1, [2], 200)
-    entry = rs.level(1).alphabet[0]
-    assert head_tail_cores(rs, 1, entry, 0) == ("b", "b")
-    assert head_tail_cores(rs, 1, "bab", 0) == ("b", "b")
-
-    rs2 = return_structure(Periodic("ab"), "a", 1, [2], 80)
-    assert head_tail_cores(rs2, 1, "bab", 0) == ("b", "b")
-
-    with pytest.raises(ValueError):
-        head_tail_cores(rs, 1, entry, 1)  # m = level is forbidden
-    with pytest.raises(StructureError):
-        head_tail_cores(rs, 1, "zzz", 0)
-
-
-def test_head_tail_cores_prefix_suffix_property():
-    rs = return_structure(FIBONACCI, "a", 2, [3, 2], 800)
-    for level in (1, 2):
-        for entry in rs.level(level).alphabet:
-            for m in range(level):
-                head, tail = head_tail_cores(rs, level, entry, m)
-                assert entry.core.startswith(head)
-                assert entry.core.endswith(tail)
-
-
 def test_return_entry_length():
     assert ReturnEntry(2, "bab").length == 5
 
@@ -307,7 +274,7 @@ def test_return_structure_levels_rebuild_the_sample(case):
     rs = return_structure(Sample(sample), "a", len(arities), arities, len(sample))
     assert len(rs.levels) == len(arities) + 1
     for lv in rs.levels:
-        rebuilt = "".join(rs.entry_word(e) for e in lv.entries)
+        rebuilt = "".join("a" * e.run + e.core for e in lv.entries)
         assert rebuilt == sample[rs.first_start : rs.first_start + len(rebuilt)]
     for prev, lv in zip(rs.levels, rs.levels[1:]):
         n = lv.group_arity
