@@ -17,16 +17,15 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
-from .bands import BandComputationError, periodic_bands
+from .bands import periodic_bands
 from .experiments import (
-    RetentionError,
     adz_construct,
     complexity_growth_check,
     decay_sweep,
     scaled_product_suite,
 )
 from .intervals import IntervalSet, interval_algebra
-from .tower import Constants, ScheduleError, TowerResult, tower_pipeline
+from .tower import Constants, TowerResult, tower_pipeline
 from .words import (
     AdzStages,
     Periodic,
@@ -34,6 +33,7 @@ from .words import (
     Sample,
     SubshiftSpec,
     Substitution,
+    UnknownLetterError,
     complexity,
     run_stats,
     sample_word,
@@ -200,6 +200,13 @@ SECTION_KEYS = {
     },
     "suite": {"trials", "c0", "lam_floors"},
 }
+
+
+def _string(value) -> str:
+    """Converter of a JSON string; any other value is rejected."""
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
 
 
 def _list_of(kind):
@@ -392,12 +399,14 @@ def _run_words(cfg: RunConfig, out: Path, log) -> int:
     sec = cfg.section("words")
     spec = cfg.subshift()
     sample_len = cfg.get("words.sample_len", int, 1024)
+    lengths = cfg.get("words.complexity_lengths", _list_of(int), [1, 2, 4, 8, 16])
+    alphabet = sec.get("alphabet")
+    if alphabet is not None:
+        alphabet = cfg.get("words.alphabet", _list_of(_string))
     sample = sample_word(spec, sample_len)
     (out / "sample.txt").write_text(sample + "\n", encoding="utf-8", newline="\n")
-    lengths = cfg.get("words.complexity_lengths", _list_of(int), [1, 2, 4, 8, 16])
     rows = [[n, complexity(spec, n, sample_len)] for n in lengths]
     write_csv(out / "complexity.csv", ["n", "p"], rows)
-    alphabet = sec.get("alphabet")
     stats = run_stats(spec, sample_len, alphabet)
     write_json(out / "run_stats.json", {**_record(stats), **_meta(cfg)})
     log(f"words: sample of {sample_len} letters, p({lengths[-1]}) = {rows[-1][1]}")
@@ -405,8 +414,8 @@ def _run_words(cfg: RunConfig, out: Path, log) -> int:
 
 
 def _run_spectrum(cfg: RunConfig, out: Path, log) -> int:
-    sec = cfg.section("spectrum")
-    word = str(sec.get("word", ""))
+    cfg.section("spectrum")
+    word = cfg.get("spectrum.word", _string, "")
     if not word:
         raise ConfigError("spectrum.word is required")
     pot = cfg.potential()
@@ -432,7 +441,7 @@ def _read_set(sec: dict, key: str) -> IntervalSet:
 
 def _run_measure(cfg: RunConfig, out: Path, log) -> int:
     sec = cfg.section("measure")
-    op = str(sec.get("op", ""))
+    op = cfg.get("measure.op", _string, "")
     x = _read_set(sec, "x")
     y = sec.get("y")
     if op in ("union", "intersect", "difference", "subset"):
@@ -453,7 +462,7 @@ def _run_measure(cfg: RunConfig, out: Path, log) -> int:
 
 
 def _run_decay(cfg: RunConfig, out: Path, log) -> int:
-    sec = cfg.section("decay")
+    cfg.section("decay")
     spec = cfg.subshift()
     v_base = cfg.potential()
     table = decay_sweep(
@@ -461,7 +470,7 @@ def _run_decay(cfg: RunConfig, out: Path, log) -> int:
         v_base,
         cfg.get("decay.lam_list", _list_of(float)),
         cfg.get("decay.factor_len", int, 13),
-        str(sec.get("e0_letter", "a")),
+        cfg.get("decay.e0_letter", _string, "a"),
         float(cfg.consts.H),
         cfg.get("decay.sample_len", int, 4096),
     )
@@ -535,11 +544,11 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
 
 
 def _tower_result(cfg: RunConfig) -> TowerResult:
-    sec = cfg.section("tower")
+    cfg.section("tower")
     return tower_pipeline(
         cfg.subshift(),
         cfg.potential(),
-        str(sec.get("alpha0", "a")),
+        cfg.get("tower.alpha0", _string, "a"),
         gamma=cfg.gamma,
         gamma_prime=cfg.gamma_prime,
         c=cfg.c,
@@ -568,13 +577,6 @@ def _run_tower(cfg: RunConfig, out: Path, log) -> int:
 
 def _run_verify(cfg: RunConfig, out: Path, log) -> int:
     res = _tower_result(cfg)
-    meta = _meta(cfg)
-    _write_tower(out, res, meta)
-    accel = res.accel
-    accel_d = _record(accel, n_energies=len(accel.energies), all_passed=accel.all_passed)
-    write_json(out / "acceleration.json", {**accel_d, **meta})
-    write_json(out / "covering.json", {**_record(res.covering, interval=res.interval), **meta})
-
     suite = scaled_product_suite(
         cfg.get("suite.trials", int, 10000),
         cfg.get("suite.c0", float, 10.0),
@@ -582,10 +584,16 @@ def _run_verify(cfg: RunConfig, out: Path, log) -> int:
         cfg.seed,
         cfg.consts.c_slack,
     )
+    max_residue = cfg.get("tower.covering_max_residue_fraction", float, 1e-3)
+    meta = _meta(cfg)
+    _write_tower(out, res, meta)
+    accel = res.accel
+    accel_d = _record(accel, n_energies=len(accel.energies), all_passed=accel.all_passed)
+    write_json(out / "acceleration.json", {**accel_d, **meta})
+    write_json(out / "covering.json", {**_record(res.covering, interval=res.interval), **meta})
     suite_d = _record(suite, rename={"c0": "C0"}, all_passed=suite.all_passed)
     write_json(out / "suite.json", {**suite_d, **meta})
 
-    max_residue = cfg.get("tower.covering_max_residue_fraction", float, 1e-3)
     required_fails = [c for c in res.schedule.failed_checks() if c.required]
     ok = (
         not required_fails
@@ -649,10 +657,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg.raw["seed"] = args.seed
             cfg.seed = args.seed
         return dispatch(args.command, cfg, args.out, args.quiet)
-    except (ConfigError, ScheduleError) as exc:
+    except (ValueError, UnknownLetterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (RetentionError, BandComputationError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ is evaluated via log lam_bar_n = chi_n * inf l_n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,9 +28,6 @@ from .sl2 import _angle_mod_pi, _dist_mod_pi, cocycle_rows, cocycle_stack, svd_a
 from .words import Potential, ReturnStructure, SubshiftSpec, Word, return_structure
 
 PI = math.pi
-
-#: 2x2 matrices in one stack of acceleration windows; bounds the memory of a batch
-WINDOW_MATRICES = 2048
 
 #: exclusion bisection rounds per membership pass; a pass probes 2**depth - 1
 #: midpoints per edge
@@ -461,17 +459,23 @@ def exclusion_sets(
     found by uniform sampling, one (cores, grid) pass per alpha core and
     marker-run length that covers every beta core at once (per energy the
     arithmetic of a scan per triple), then one bisection that refines every
-    component edge of every triple at once.  The passes compute in one set
-    of (cores, grid) work arrays, made once per call and freed when it
-    returns, with the operations of the allocating form in the same order.  The edges of one
-    (triple, side) run ceil(log2(max gap / refine_tol)) rounds, taken
-    ``BISECT_DEPTH`` at a time: one pass takes every midpoint the edges'
+    component edge of every triple at once.  The passes compute in one set of
+    (cores, grid) work arrays, made once per call and freed when it returns,
+    with the operations of the allocating form in the same order.  The passes
+    fill one table of (triple index, first and last grid point) per component,
+    stably sorted by triple index into (alpha, beta, j) order and checked
+    against the component cap before any bisection.  Every edge brackets one
+    grid step, its last point inside and first point outside, so all edges run
+    the ceil(log2(largest step / refine_tol)) rounds of the largest step:
+    linspace steps differ only in their last bits, so an edge takes at most
+    one round more than its own step needs, tighter and never looser.  The
+    rounds go ``BISECT_DEPTH`` at a time: one pass takes every midpoint the
     next rounds could visit, evaluates each distinct (core, energy) pair of
     those probes once over both roles (alpha gives u, beta gives s), in one
     cocycle recurrence and one split per core length, and each marker power
-    once per run length, and then takes those rounds.  Each probe is the
-    float a one-round loop would compute, so the endpoints do not depend on
-    the depth.  Recorded endpoints sit on the outside of each component
+    once per run length, and then takes those rounds.  Each probe is the float
+    a one-round loop would compute, so the endpoints do not depend on the
+    depth.  Recorded endpoints sit on the outside of each component
     (conservative by at most ``refine_tol`` per side); components entirely
     between grid points are missed, which is the documented grid resolution
     limit.  Energies where either core's cocycle is rotation-like are folded
@@ -490,9 +494,7 @@ def exclusion_sets(
         raise ValueError("empty energy interval")
 
     lv = structure.level(level)
-    cores = lv.cores
-    runs = lv.runs
-    warnings: list[str] = []
+    cores, runs = lv.cores, lv.runs
 
     def frames_of(mats: np.ndarray, n_letters: int):
         """Split a stack of core cocycles; raise on an overflowed entry."""
@@ -572,10 +574,7 @@ def exclusion_sets(
         )
         return np.where(hyp, _dist_mod_pi(phi, PI / 2) <= kappa, True)
 
-    def n_rounds(gap: float) -> int:
-        return max(0, math.ceil(math.log2(max(gap / refine_tol, 1.0))))
-
-    n_cores = len(cores)
+    n_cores, n_runs = len(cores), len(runs)
     grid_pts = np.linspace(lo, hi, grid)
     frames = [core_frames(core, grid_pts) for core in cores]
     cpows = [cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in runs]
@@ -631,95 +630,80 @@ def exclusion_sets(
         )
         np.copyto(steps, np.inf, where=invalid)
         c1 = np.min(steps, axis=1) / de
-        return rows, starts, ends, c1.tolist(), c5.tolist()
+        return rows, starts, ends, c1, c5
 
-    scans = {}  # (ai, ji) -> component rows, starts, ends, edge offsets, c1 and c5 per row
-    false_e, true_e, keys, rounds = [], [], [], []  # one array per block side, entry per edge
-    n_edges = 0
-    for ai, alpha in enumerate(cores):
+    # the component table: triple index, first and last grid point of every
+    # component, where triple (cores[a], cores[b], runs[j]) has index
+    # (a * n_cores + b) * n_runs + j, its position in (alpha, beta, j) order
+    shape = (n_cores, n_cores, n_runs)
+    table = []
+    c1, c5 = np.empty((2, *shape))
+    for ai in range(n_cores):
         u_a = frames[ai][0]
         (vx, vy), (vx_d, vy_d) = unit(u_a), unit(u_a + frame_delta)
         not_both = ~(hyp[ai] & hyp)
         invalid = not_both[:, 1:] | not_both[:, :-1]
-        per_run = [scan(vx, vy, vx_d, vy_d, not_both, invalid, cpow) for cpow in cpows]
-        counts = np.array([np.bincount(rows, minlength=n_cores) for rows, *_ in per_run]).T
-        if counts.max() > consts.triple_component_cap:
-            bi, ji = np.unravel_index(np.argmax(counts > consts.triple_component_cap), counts.shape)
-            raise RuntimeError(
-                f"triple ({alpha!r}, {cores[bi]!r}, {runs[ji]}) produced {counts[bi, ji]} "
-                f"components, above cap {consts.triple_component_cap}"
+        for ji, cpow in enumerate(cpows):
+            rows, starts, ends, c1[ai, :, ji], c5[ai, :, ji] = scan(
+                vx, vy, vx_d, vy_d, not_both, invalid, cpow
             )
-        for ji, (rows, starts, ends, c1, c5) in enumerate(per_run):
-            offsets = []
-            sides = ((starts > 0, starts - 1, starts), (ends < grid - 1, ends + 1, ends))
-            for has, f_idx, t_idx in sides:
-                r_e, f_idx, t_idx = rows[has], f_idx[has], t_idx[has]
-                gap = np.zeros(n_cores)  # largest bracket per (triple, side)
-                np.maximum.at(gap, r_e, np.abs(grid_pts[f_idx] - grid_pts[t_idx]))
-                false_e.append(grid_pts[f_idx])
-                true_e.append(grid_pts[t_idx])
-                keys.append(np.column_stack((np.full(r_e.size, ai), r_e, np.full(r_e.size, ji))))
-                rounds.append(np.array([n_rounds(x) for x in gap.tolist()], dtype=int)[r_e])
-                offsets.append(n_edges)
-                n_edges += r_e.size
-            scans[ai, ji] = (rows, starts, ends, offsets, c1, c5)
+            table.append(np.stack(((ai * n_cores + rows) * n_runs + ji, starts, ends)))
+    # a stable sort keeps each triple's components in grid order
+    table = np.concatenate(table, axis=1)
+    tri, starts, ends = table[:, np.argsort(table[0], kind="stable")]
+    counts = np.bincount(tri, minlength=c1.size)
+    if counts.max() > consts.triple_component_cap:
+        k = int(np.argmax(counts > consts.triple_component_cap))
+        ai, bi, ji = np.unravel_index(k, shape)
+        raise RuntimeError(
+            f"triple ({cores[ai]!r}, {cores[bi]!r}, {runs[ji]}) produced {counts[k]} "
+            f"components, above cap {consts.triple_component_cap}"
+        )
 
     # bisect every edge; f stays outside its component and t inside.  One pass
     # takes up to BISECT_DEPTH rounds: it evaluates every midpoint those rounds
     # could probe, a heap-ordered tree per edge in which node n brackets (f, t)
     # and its probe, inside or not, leads to child 2n + 1 = (f, probe) or
     # 2n + 2 = (probe, t).
-    f, t = np.concatenate(false_e), np.concatenate(true_e)
-    rounds, keys = np.concatenate(rounds), np.concatenate(keys)
-    n_probes = 2**BISECT_DEPTH - 1
-    for r in range(0, rounds.max(initial=0), BISECT_DEPTH):
-        act = np.flatnonzero(rounds > r)
-        steps = np.minimum(rounds[act] - r, BISECT_DEPTH)
-        fs, ts = np.empty((2, act.size, 2 * n_probes + 1))
-        fs[:, 0], ts[:, 0] = f[act], t[act]
-        probes = np.empty((act.size, n_probes))
+    left, right = starts > 0, ends < grid - 1
+    f = np.concatenate((grid_pts[starts[left] - 1], grid_pts[ends[right] + 1]))
+    t = np.concatenate((grid_pts[starts[left]], grid_pts[ends[right]]))
+    keys = np.array(np.unravel_index(np.concatenate((tri[left], tri[right])), shape))
+    gap = float(np.max(np.diff(grid_pts)))
+    rounds = max(0, math.ceil(math.log2(max(gap / refine_tol, 1.0)))) if f.size else 0
+    for r in range(0, rounds, BISECT_DEPTH):
+        depth = min(BISECT_DEPTH, rounds - r)
+        n_probes = 2**depth - 1
+        fs, ts = np.empty((2, f.size, 2 * n_probes + 1))
+        fs[:, 0], ts[:, 0] = f, t
         for n in range(n_probes):
-            probes[:, n] = mid = 0.5 * (fs[:, n] + ts[:, n])
+            mid = 0.5 * (fs[:, n] + ts[:, n])
             fs[:, 2 * n + 1], ts[:, 2 * n + 1] = fs[:, n], mid
             fs[:, 2 * n + 2], ts[:, 2 * n + 2] = mid, ts[:, n]
-        # an edge with k < BISECT_DEPTH rounds left probes only the top k levels
-        used = np.arange(n_probes) < (2**steps - 1)[:, None]
-        inside = np.zeros(used.shape, dtype=bool)
-        inside[used] = member(probes[used], *np.repeat(keys[act], used.sum(axis=1), axis=0).T)
-        node, edge = np.zeros(act.size, dtype=int), np.arange(act.size)
-        for step in range(BISECT_DEPTH):
-            node = np.where(steps > step, 2 * node + 2 - inside[edge, node], node)
-        f[act], t[act] = fs[edge, node], ts[edge, node]
+        # node n's probe is the t of its left child
+        probes = ts[:, 1 : 2 * n_probes : 2]
+        inside = member(probes.ravel(), *np.repeat(keys, n_probes, axis=1)).reshape(probes.shape)
+        node, edge = np.zeros(f.size, dtype=int), np.arange(f.size)
+        for _ in range(depth):
+            node = 2 * node + 2 - inside[edge, node]
+        f, t = fs[edge, node], ts[edge, node]
 
-    row_pairs = {}  # (ai, ji) -> the component pairs of each beta row
-    for key, (rows, starts, ends, (l_off, r_off), _, _) in scans.items():
-        lo_pts, hi_pts = np.full(starts.size, grid_pts[0]), np.full(ends.size, grid_pts[-1])
-        for pts, has_edge, pos in ((lo_pts, starts > 0, l_off), (hi_pts, ends < grid - 1, r_off)):
-            pts[has_edge] = f[pos : pos + int(has_edge.sum())]
-        pairs = list(zip(lo_pts.tolist(), hi_pts.tolist()))
-        bounds = np.searchsorted(rows, np.arange(n_cores + 1)).tolist()
-        row_pairs[key] = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    triples: list[TripleExclusion] = []
-    all_pairs: list[tuple[float, float]] = []
-    c1_level = math.inf
-    c5_level = 0.0
-    for ai, alpha in enumerate(cores):
-        for bi, beta in enumerate(cores):
-            for ji, j in enumerate(runs):
-                *_, c1, c5 = scans[ai, ji]
-                pairs = row_pairs[ai, ji][bi]
-                triples.append(
-                    TripleExclusion(alpha, beta, j, IntervalSet.from_pairs(pairs), c1[bi], c5[bi])
-                )
-                all_pairs.extend(pairs)
-                c1_level = min(c1_level, c1[bi])
-                c5_level = max(c5_level, c5[bi])
-
-    j_set = IntervalSet.from_pairs(all_pairs).clip(lo, hi)
+    lo_pts, hi_pts = grid_pts[starts], grid_pts[ends]
+    lo_pts[left], hi_pts[right] = np.split(f, [np.count_nonzero(left)])
+    pairs = list(zip(lo_pts.tolist(), hi_pts.tolist()))
+    bounds = np.searchsorted(tri, np.arange(c1.size + 1)).tolist()
+    c1_all, c5_all = c1.ravel().tolist(), c5.ravel().tolist()
+    triples = [
+        TripleExclusion(alpha, beta, j, IntervalSet.from_pairs(pairs[a:b]), c1_k, c5_k)
+        for (alpha, beta, j), a, b, c1_k, c5_k in zip(
+            itertools.product(cores, cores, runs), bounds, bounds[1:], c1_all, c5_all
+        )
+    ]
+    # Python's min and max fold in (alpha, beta, j) order from inf and 0.0
+    c1_level, c5_level = min([math.inf, *c1_all]), max([0.0, *c5_all])
+    j_set = IntervalSet.from_pairs(pairs).clip(lo, hi)
     return ExclusionReport(
-        level, kappa, (lo, hi), grid, refine_tol, triples, j_set, c1_level, c5_level,
-        warnings,
+        level, kappa, (lo, hi), grid, refine_tol, triples, j_set, c1_level, c5_level, []
     )
 
 
@@ -771,9 +755,9 @@ class AccelerationReport:
 
 
 def verify_windows(
-    block_mats: Sequence[np.ndarray],
-    marker_mats: Sequence[np.ndarray],
-    lengths: Sequence[int],
+    blocks: np.ndarray,
+    markers: np.ndarray,
+    entries: Sequence[tuple[int, int, int]],
     *,
     level: int,
     energies: np.ndarray,
@@ -788,34 +772,28 @@ def verify_windows(
 ) -> AccelerationReport:
     """Core window verification, one product and one split per window class.
 
-    ``block_mats[k]`` is the (m, 2, 2) stack of the k-th core cocycle over
-    the energy grid and ``marker_mats[k]`` the matching marker-run power that
-    precedes it; windows are all contiguous runs of 1..r_max entries.  A
-    window is a function of its entries' (block array, marker array, length)
-    sequence, so each entry gets an integer key and a window of length r the
-    class of the pair (class of its first r - 1 entries, key of its last
-    entry).  Entries that share one array share its frames, computed in one
-    ``svd_angles_stack`` call.  Per length, each class product is formed once
-    from its parent class, ``block @ (marker @ parent)``, and split, in
-    batches of at most ``WINDOW_MATRICES // m`` classes; the counts are
-    weighted by class size.  Per window and energy the arithmetic is that of
-    a window-by-window loop, so counts and extrema do not depend on the
-    classes or the batching.  Only the class products of the previous length,
-    at most one per entry, are kept from one length to the next.
+    ``blocks`` stacks the distinct core cocycles over the m energies as
+    (k, m, 2, 2) and ``markers`` the marker-run powers as (j, m, 2, 2); entry
+    (b, c, length) is the core ``blocks[b]`` of ``length`` letters after the
+    marker power ``markers[c]``.  Windows are all contiguous runs of 1..r_max
+    entries.  Each entry gets an integer key for its (block, marker, length)
+    and a window of length r the class of the pair (class of its first r - 1
+    entries, key of its last entry).  The blocks are split in one
+    ``svd_angles_stack`` call; per length, every class product is formed from
+    its parent class, ``block @ (marker @ parent)``, and all are split in one
+    call, the counts weighted by class size.  Per window and energy the
+    arithmetic is that of a window-by-window loop.  Only the class products of
+    the previous length, at most one per entry, are kept.  Raises
+    ``ValueError`` when r_max < 1 or there are no energies: no window would
+    be checked.
     """
-    n_entries = len(block_mats)
+    if r_max < 1:
+        raise ValueError(f"acceleration windows need r_max >= 1, not {r_max}")
     m = energies.size
-
-    def distinct(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Each entry's index into the stack of the distinct arrays of ``mats``."""
-        unique = {id(a): a for a in mats}
-        pos = {key: i for i, key in enumerate(unique)}
-        stack = np.array(list(unique.values()), dtype=float).reshape(-1, m, 2, 2)
-        return np.array([pos[id(a)] for a in mats], dtype=int), stack
-
-    bi, blocks = distinct(block_mats)
-    mi, markers = distinct(marker_mats)
-    lengths = np.asarray(lengths, dtype=int).reshape(-1)
+    if m == 0:
+        raise ValueError("acceleration windows need at least one energy")
+    bi, mi, lengths = np.asarray(entries, dtype=int).reshape(-1, 3).T
+    n_entries = bi.size
     u_b, s_b, ll_b, hyp_b = svd_angles_stack(blocks)
     ll_e = ll_b[bi]
     block_floor_failures = int(np.sum((~hyp_b | (ll_b < log_lam_bar - 1e-12))[bi]))
@@ -824,14 +802,9 @@ def verify_windows(
     _, key = np.unique(np.ravel_multi_index((bi, mi, lengths), shape), return_inverse=True)
     n_keys = int(key.max(initial=-1)) + 1
 
-    n_windows = 0
-    n_checks = 0
-    hyper_violations = 0
-    drift_failures = 0
-    growth_chi_failures = 0
-    growth_product_failures = 0
-    worst_drift = 0.0
-    worst_margin = math.inf
+    n_windows = n_checks = hyper_violations = drift_failures = 0
+    growth_chi_failures = growth_product_failures = 0
+    worst_drift, worst_margin = 0.0, math.inf
 
     def fold(worst: float, rows: np.ndarray, pick) -> float:
         """Fold per-window extrema into ``worst`` as Python's min/max over the
@@ -839,7 +812,6 @@ def verify_windows(
         rows = rows[~np.isnan(rows)]
         return float(pick(worst, pick.reduce(rows))) if rows.size else worst
 
-    step = max(1, WINDOW_MATRICES // max(1, m))
     cls = np.zeros(n_entries, dtype=int)  # class of the window of length r - 1 at each start
     for r in range(1, min(r_max, n_entries) + 1):
         # class c of length r: its first window starts at first[c], its first
@@ -850,44 +822,36 @@ def verify_windows(
             return_index=True,
             return_inverse=True,
         )
-        parent, last, weight = prev[first], first + r - 1, np.bincount(cls)
+        parent, last, w = prev[first], first + r - 1, np.bincount(cls)
+        b_last = bi[last]
         n_windows += n_entries - r + 1
         n_checks += (n_entries - r + 1) * m
         if r == 1:
-            acc = blocks[bi[last]]
+            acc = blocks[b_last]
             sum_len, sum_ll = lengths[last], ll_e[last]
+            u_w, s_w, ll_w, hyp_w = u_b[b_last], s_b[b_last], sum_ll, hyp_b[b_last]
         else:
-            acc_prev, acc = acc, np.empty((first.size, m, 2, 2))
+            acc = blocks[b_last] @ (markers[mi[last]] @ acc[parent])
             sum_len = sum_len[parent] + lengths[last]
             sum_ll = sum_ll[parent] + ll_e[last]
-        for c0 in range(0, first.size, step):
-            c = slice(c0, c0 + step)
-            b_last = bi[last[c]]
-            if r == 1:
-                u_w, s_w, ll_w, hyp_w = u_b[b_last], s_b[b_last], ll_e[last[c]], hyp_b[b_last]
-            else:
-                acc[c] = blocks[b_last] @ (markers[mi[last[c]]] @ acc_prev[parent[c]])
-                u_w, s_w, ll_w, hyp_w = svd_angles_stack(acc[c])
-            w = weight[c]
+            u_w, s_w, ll_w, hyp_w = svd_angles_stack(acc)
 
-            hyper_violations += int(np.sum(~hyp_w, axis=1) @ w)
-            u_drift = _dist_mod_pi(u_w, u_b[b_last])
-            s_drift = _dist_mod_pi(s_w, s_b[bi[first[c]]])
-            drift = np.maximum(u_drift, s_drift)
-            # a rotation-like first or last block has NaN frames: its drift
-            # fails, and in a hyperbolic window it is the worst drift
-            drift = np.where(hyp_w & ~np.isnan(drift), drift, np.inf)
-            drift_failures += int(np.sum(~(drift <= zeta), axis=1) @ w)
-            worst_drift = fold(
-                worst_drift, np.max(np.where(hyp_w, drift, 0.0), axis=1, initial=0.0), np.maximum
-            )
+        hyper_violations += int(np.sum(~hyp_w, axis=1) @ w)
+        drift = np.maximum(_dist_mod_pi(u_w, u_b[b_last]), _dist_mod_pi(s_w, s_b[bi[first]]))
+        # a rotation-like first or last block has NaN frames: its drift
+        # fails, and in a hyperbolic window it is the worst drift
+        drift = np.where(hyp_w & ~np.isnan(drift), drift, np.inf)
+        drift_failures += int(np.sum(~(drift <= zeta), axis=1) @ w)
+        worst_drift = fold(
+            worst_drift, np.max(np.where(hyp_w, drift, 0.0), axis=1, initial=0.0), np.maximum
+        )
 
-            bound_chi = (chi_next * sum_len[c])[:, None]
-            bound_prod = -p_const * r * log_c + sum_ll[c] + r * log_kappa
-            growth_chi_failures += int(np.sum(ll_w < bound_chi, axis=1) @ w)
-            growth_product_failures += int(np.sum(ll_w < bound_prod, axis=1) @ w)
-            worst_margin = fold(worst_margin, np.min(ll_w - bound_chi, axis=1), np.minimum)
-            worst_margin = fold(worst_margin, np.min(ll_w - bound_prod, axis=1), np.minimum)
+        bound_chi = (chi_next * sum_len)[:, None]
+        bound_prod = -p_const * r * log_c + sum_ll + r * log_kappa
+        growth_chi_failures += int(np.sum(ll_w < bound_chi, axis=1) @ w)
+        growth_product_failures += int(np.sum(ll_w < bound_prod, axis=1) @ w)
+        worst_margin = fold(worst_margin, np.min(ll_w - bound_chi, axis=1), np.minimum)
+        worst_margin = fold(worst_margin, np.min(ll_w - bound_prod, axis=1), np.minimum)
 
     return AccelerationReport(
         level=level,
@@ -927,17 +891,11 @@ def acceleration_verify(
     lv = sched.level(level)
     energies = np.asarray(energies, dtype=float)
     lvl = structure.level(level)
-    entries = lvl.entries
-    cpow = {j: cocycle_stack(structure.alpha0 * j, energies, pot) for j in lvl.runs}
-    core_mats = {core: cocycle_stack(core, energies, pot) for core in lvl.cores}
-    block_mats = [core_mats[e.core] for e in entries]
-    marker_mats = [cpow[e.run] for e in entries]
-    lengths = [e.length for e in entries]
-
+    cores, runs = lvl.cores, lvl.runs
     return verify_windows(
-        block_mats,
-        marker_mats,
-        lengths,
+        np.array([cocycle_stack(core, energies, pot) for core in cores]),
+        np.array([cocycle_stack(structure.alpha0 * j, energies, pot) for j in runs]),
+        [(cores.index(e.core), runs.index(e.run), e.length) for e in lvl.entries],
         level=level,
         energies=energies,
         zeta=sched.zeta(level),

@@ -20,6 +20,9 @@ Word = str
 class UnknownLetterError(KeyError):
     """A word contains a letter outside the potential's domain."""
 
+    def __str__(self) -> str:  # the message, without KeyError's quotes
+        return str(self.args[0])
+
 
 class RunLengthError(ValueError):
     """A marker-letter run exceeds the configured cap K_max."""

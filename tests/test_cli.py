@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -351,6 +352,61 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, command, literal, n
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and needle in err
+    assert not list((tmp_path / "o").rglob("*"))  # no artifact
+
+
+FIBONACCI_SPEC = {"kind": "substitution", "rules": {"a": "ab", "b": "a"}, "seed_letter": "a"}
+MISTAKE_BASES = {
+    "verify": "acceptance_verify_lam400.json",
+    "tower": "acceptance_verify_lam400.json",
+    "decay": "acceptance_decay.json",
+    "adz": "acceptance_adz.json",
+    "spectrum": {"potential": {"a": 0.0, "b": 1.0}, "spectrum": {"word": "ab"}},
+    "words": {"subshift": FIBONACCI_SPEC, "words": {"sample_len": 64}},
+}
+CONFIG_MISTAKES = [
+    ("verify", "tower.accel_r_max", 0, "r_max >= 1"),
+    ("verify", "tower.accel_r_max", -3, "r_max >= 1"),
+    ("verify", "tower.accel_energies", 0, "at least one energy"),
+    ("tower", "tower.alpha0", 5, "'tower.alpha0'"),
+    ("tower", "tower.alpha0", "z", "letter 'z' not in potential domain"),
+    ("decay", "decay.e0_letter", "z", "letter 'z' not in potential domain"),
+    ("decay", "decay.e0_letter", ["a"], "'decay.e0_letter'"),
+    ("spectrum", "spectrum.word", 12, "'spectrum.word'"),
+    ("spectrum", "spectrum.word", "abz", "letter 'z' not in potential domain"),
+    ("words", "words.alphabet", 5, "'words.alphabet'"),
+    ("words", "words.sample_len", -5, "length must be >= 0"),
+    ("decay", "decay.lam_list", [10, 20], "three couplings"),
+    ("tower", "grid", 4, "at least 8 points"),
+    ("tower", "tower.sample_len", 30, "level-0 returns"),
+    ("tower", "tower.levels", -1, "levels must be >= 0"),
+    ("tower", "tower.approx_len", 0, "factor length must be >= 1"),
+    ("verify", "suite.trials", 0, "at least one trial"),
+    ("adz", "adz.k", 1, "alphabet of size >= 2"),
+    ("tower", "K_max", 1, "exceeds cap 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, needle",
+    CONFIG_MISTAKES,
+    ids=[f"{key}={value!r}" for _, key, value, _ in CONFIG_MISTAKES],
+)
+def test_config_mistake_is_one_line_exit_2(tmp_path, capsys, command, key, value, needle):
+    # a library argument error is a configuration error: exit 2, one line
+    # that names the problem, no traceback and no artifact; an empty
+    # acceleration check must not pass vacuously
+    base = MISTAKE_BASES[command]
+    if isinstance(base, str):
+        base = json.loads((CONFIGS / base).read_text())
+    payload = copy.deepcopy(base)
+    *section, name = key.split(".")
+    (payload[section[0]] if section else payload)[name] = value
+    cfg_path = write_config(tmp_path, payload)
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ") and needle in err[0]
     assert not list((tmp_path / "o").rglob("*"))  # no artifact
 
 

@@ -261,12 +261,13 @@ def abc_structure():
 ABC_POT = Potential({"a": 0.0, "b": 3.5, "c": -2.5})
 
 
-def _reference_triple_exclusions(structure, pot, kappa, grid, tol):
+def _reference_triple_exclusions(structure, pot, kappa, interval, grid, tol):
     """Per-triple bisection: every probe recomputes both cores and the marker
     power for one (alpha, beta, j), as exclusion_sets did before it batched
-    the refinement across triples."""
+    the refinement across triples.  The edges of one (triple, side) take the
+    rounds of their largest bracket."""
     lv = structure.level(0)
-    grid_pts = np.linspace(-3.0, 3.0, grid)
+    grid_pts = np.linspace(*interval, grid)
 
     def member(alpha, beta, j, e):
         ua, _, _, ha = svd_angles_stack(cocycle_stack(alpha, e, pot))
@@ -325,7 +326,7 @@ def _reference_triple_exclusions(structure, pot, kappa, grid, tol):
 @pytest.mark.parametrize("kappa", [0.3, 1.0])
 def test_batched_exclusion_equals_per_triple_bisection(abc_structure, kappa):
     rep = exclusion_sets(abc_structure, 0, ABC_POT, kappa, (-3.0, 3.0), 257, 1e-6)
-    ref = _reference_triple_exclusions(abc_structure, ABC_POT, kappa, 257, 1e-6)
+    ref = _reference_triple_exclusions(abc_structure, ABC_POT, kappa, (-3.0, 3.0), 257, 1e-6)
     assert [(t.alpha, t.beta, t.j, t.intervals) for t in rep.triples] == ref
     # the case exercises interior edges and components touching the window
     assert sum(len(t.intervals) for t in rep.triples) > 2 * len(rep.triples)
@@ -405,18 +406,32 @@ def test_batched_exclusion_call_count(abc_structure, monkeypatch):
     assert len(calls) <= (len(lv.cores) + len(lv.runs)) * (rounds + 1)
 
 
-@pytest.mark.parametrize("rounds", [13, 14, 16])
-def test_multi_round_bisection_remainder_equals_per_triple(abc_structure, monkeypatch, rounds):
-    # every gap is one grid step, 6/256 exactly, so each edge runs `rounds`
-    # rounds; 13, 14 and 16 leave 1, 2 and 1 for the last pass at depth 3
+@pytest.mark.parametrize(
+    "interval, rounds",
+    [
+        pytest.param((-3.0, 3.0), 13, id="13"),
+        pytest.param((-3.0, 3.0), 14, id="14"),
+        pytest.param((-3.0, 3.0), 16, id="16"),
+        pytest.param((-2.9, 2.9), 13, id="uneven-13"),
+    ],
+)
+def test_multi_round_bisection_remainder_equals_per_triple(
+    abc_structure, monkeypatch, interval, rounds
+):
+    # every gap is one grid step, (hi - lo)/256 up to rounding, so each edge
+    # runs `rounds` rounds; 13, 14 and 16 leave 1, 2 and 1 for the last pass
+    # at depth 3.  The steps of [-3, 3] are all 6/256 exactly; those of
+    # [-2.9, 2.9] differ in the last bits
     depth = tower_module.BISECT_DEPTH
-    tol = 6.0 / 256 / 2 ** (rounds - 0.5)
-    assert math.ceil(math.log2(6.0 / 256 / tol)) == rounds and rounds % depth
+    steps = np.diff(np.linspace(*interval, 257))
+    assert (len(set(steps.tolist())) > 1) == (interval[0] == -2.9)
+    tol = (interval[1] - interval[0]) / 256 / 2 ** (rounds - 0.5)
+    assert {math.ceil(math.log2(x / tol)) for x in steps.tolist()} == {rounds} and rounds % depth
     calls = _count_cocycle_calls(monkeypatch)
-    rep = exclusion_sets(abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), 257, tol)
+    rep = exclusion_sets(abc_structure, 0, ABC_POT, 1.0, interval, 257, tol)
     lv = abc_structure.level(0)
     assert len(calls) <= (len(lv.cores) + len(lv.runs)) * (math.ceil(rounds / depth) + 1)
-    ref = _reference_triple_exclusions(abc_structure, ABC_POT, 1.0, 257, tol)
+    ref = _reference_triple_exclusions(abc_structure, ABC_POT, 1.0, interval, 257, tol)
     assert [(t.alpha, t.beta, t.j, t.intervals) for t in rep.triples] == ref
     assert sum(len(t.intervals) for t in rep.triples) > 2 * len(rep.triples)
 
@@ -521,9 +536,9 @@ def test_verify_windows_synthetic_diagonal():
     block = np.broadcast_to(np.diag([1e3, 1e-3]), (3, 2, 2)).copy()
     ident = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
     rep = verify_windows(
-        [block, block, block],
-        [ident, ident, ident],
-        [2, 2, 2],
+        block[None],
+        ident[None],
+        [(0, 0, 2)] * 3,
         level=0,
         energies=energies,
         zeta=1e-6,
@@ -548,11 +563,10 @@ def test_verify_windows_nan_drift_fails():
     t = 0.7
     rot = np.array([[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]])
     hyp = np.diag([3.0, 1.0 / 3.0])[None]
-    ident = np.eye(2)[None]
     rep = verify_windows(
-        [rot, hyp],
-        [ident, ident],
-        [1, 1],
+        np.array([rot, hyp]),
+        np.eye(2)[None, None],
+        [(0, 0, 1), (1, 0, 1)],
         level=0,
         energies=np.zeros(1),
         zeta=1e-6,
@@ -572,10 +586,13 @@ def test_verify_windows_nan_drift_fails():
     assert not rep.all_passed
 
 
-def _reference_windows(block_mats, marker_mats, lengths, *, energies, zeta, chi_n, chi_next,
+def _reference_windows(blocks, markers, entries, *, energies, zeta, chi_n, chi_next,
                        log_kappa, log_lam_bar, p_const, log_c, r_max, **_):
     """Window-by-window loop: one product and one split per entry and per
     window, as verify_windows ran before it stacked the windows."""
+    block_mats = [blocks[b] for b, _, _ in entries]
+    marker_mats = [markers[c] for _, c, _ in entries]
+    lengths = [n for _, _, n in entries]
     n, m = len(block_mats), energies.size
     frames = [svd_angles_stack(b) for b in block_mats]
     out = dict(n_windows=0, n_checks=0, hyper_violations=0, drift_failures=0,
@@ -636,7 +653,7 @@ def _window_classes(keys, r_max):
 
 
 @pytest.mark.parametrize(
-    "n_entries, r_max, chunk, periodic",
+    "n_entries, r_max, m, periodic",
     [
         pytest.param(11, 4, 24, False, id="11-4-24"),
         pytest.param(3, 6, 7, False, id="3-6-7"),
@@ -645,9 +662,9 @@ def _window_classes(keys, r_max):
         pytest.param(23, 5, 9, True, id="periodic-23-5-9"),
     ],
 )
-def test_verify_windows_batched_equals_per_window(monkeypatch, n_entries, r_max, chunk, periodic):
+def test_verify_windows_batched_equals_per_window(n_entries, r_max, m, periodic):
+    # m energies: every class product of one length is one (classes, m) stack
     gen = np.random.default_rng(n_entries * 100 + r_max)
-    m = 9
     energies = np.linspace(-1.0, 1.0, m)
     cores = [_random_sl2(gen, m, 50.0) for _ in range(3)]
     # one core with rotations and near-identities: non-hyperbolic entries
@@ -655,27 +672,25 @@ def test_verify_windows_batched_equals_per_window(monkeypatch, n_entries, r_max,
     rot = np.moveaxis(np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]), -1, 0)
     rot[::3] = np.eye(2)
     cores.insert(1, rot)
-    marks = [_random_sl2(gen, m, 5.0) for _ in range(2)]
-    # arrays shared between entries, plus one entry with its own copy of a core
-    block_mats = [cores[i % len(cores)] for i in range(n_entries)]
-    block_mats[-1] = block_mats[0].copy()
-    marker_mats = [marks[i % 2] for i in range(n_entries)]
+    markers = np.array([_random_sl2(gen, m, 5.0) for _ in range(2)])
+    # stack rows shared between entries, plus a last entry whose block is a
+    # copy of core 0 under a stack index of its own
+    blocks = np.array([*cores, cores[0]])
+    block_of = [i % len(cores) for i in range(n_entries - 1)] + [len(cores)]
     lengths = [int(x) for x in gen.integers(1, 6, n_entries)]
     if periodic:
         # entries repeat with period 4, the rotation core inside the pattern,
         # so windows fall into few classes of several windows each
         lengths = [1 + i % 4 for i in range(n_entries)]
-        keys = [(id(b), id(mk), n) for b, mk, n in zip(block_mats, marker_mats, lengths)]
-        n_windows = sum(n_entries - r + 1 for r in range(1, r_max + 1))
-        assert sum(_window_classes(keys, r_max)) < n_windows / 3
+    entries = [(b, i % 2, n) for i, (b, n) in enumerate(zip(block_of, lengths))]
+    n_windows = sum(n_entries - r + 1 for r in range(1, r_max + 1))
+    assert not periodic or sum(_window_classes(entries, r_max)) < n_windows / 3
     kwargs = dict(
         level=0, energies=energies, zeta=0.05, chi_n=0.5, chi_next=0.4,
         log_kappa=math.log(0.2), log_lam_bar=1.0, p_const=1, log_c=0.3, r_max=r_max,
     )
-    # windows of one length cross chunk edges when a chunk holds few entries
-    monkeypatch.setattr(tower_module, "WINDOW_MATRICES", chunk)
-    rep = verify_windows(block_mats, marker_mats, lengths, **kwargs)
-    want = _reference_windows(block_mats, marker_mats, lengths, **kwargs)
+    rep = verify_windows(blocks, markers, entries, **kwargs)
+    want = _reference_windows(blocks, markers, entries, **kwargs)
     assert rep.hyper_violations > 0 and rep.drift_failures > 0
     for name, value in want.items():
         assert getattr(rep, name) == value, name
@@ -695,8 +710,8 @@ def test_acceleration_r1_drift_is_exactly_zero(fib_result):
     assert rep.all_passed
 
 
-@pytest.mark.parametrize("window_matrices", [2048, 100])
-def test_acceleration_svd_call_count(fib_result, monkeypatch, window_matrices):
+@pytest.mark.parametrize("n_energies", [2048, 100])
+def test_acceleration_svd_call_count(fib_result, monkeypatch, n_energies):
     calls = []
 
     def counted(mats, *args):
@@ -704,18 +719,17 @@ def test_acceleration_svd_call_count(fib_result, monkeypatch, window_matrices):
         return svd_angles_stack(mats, *args)
 
     monkeypatch.setattr(tower_module, "svd_angles_stack", counted)
-    monkeypatch.setattr(tower_module, "WINDOW_MATRICES", window_matrices)
-    energies = grid_outside(fib_result.interval, fib_result.exclusions[0].j_set, 32, 1e-6)
+    energies = grid_outside(fib_result.interval, fib_result.exclusions[0].j_set, n_energies, 1e-6)
     r_max = 5
     rep = acceleration_verify(fib_result.structure, fib_result.schedule, fib_result.pot,
                               energies, 0, r_max)
     lv = fib_result.structure.level(0)
     # windows with equal (core, run, length) entry sequences are one class
     classes = _window_classes([(e.core, e.run, e.length) for e in lv.entries], r_max)
-    step = max(1, window_matrices // energies.size)
-    assert sum(classes) < rep.n_windows / 10
-    # one call for the distinct cores, then class batches of every length >= 2
-    assert len(calls) == 1 + sum(math.ceil(n / step) for n in classes[1:])
+    assert energies.size == n_energies and sum(classes) < rep.n_windows / 10
+    # one call for the distinct cores, then one for the classes of each
+    # length >= 2, however many energies
+    assert len(calls) == r_max
     # every distinct core and every window class of length >= 2 is split
     # exactly once; a length-1 window takes its core's split
     assert sum(math.prod(shape) for shape in calls) == (

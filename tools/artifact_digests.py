@@ -5,26 +5,31 @@ b = 163.4, 287.1 and 500 on the tower-bisect base config of
 ``perfbench/workloads.json`` (b = 500 is the tower-scan regime, where the
 level-1 scan finds far fewer components), ``verify`` on that base config
 (b = 200) with ``refine_tol`` 4e-7, where every exclusion edge runs 13
-bisection rounds (one grid step of 6/2048 over 4e-7 is about 2^12.8), so
-the last multi-round pass of ``tower.exclusion_sets`` takes fewer than
-``BISECT_DEPTH`` = 3 rounds, ``verify`` on that base config with
+bisection rounds (one grid step of 6/2048 over 4e-7 is about 2^12.8), so the
+last multi-round pass of ``tower.exclusion_sets`` takes fewer than
+``BISECT_DEPTH`` = 3 rounds, ``verify`` on that base config with ``H`` 2.9,
+whose grid steps differ in the last bits, so every exclusion edge takes the
+rounds of the largest step, ``verify`` on that base config with
 ``accel_energies`` 2,049 and ``accel_r_max`` 8, where one window class is
-2,049 matrices, more than ``tower.WINDOW_MATRICES``, so every class product
-and split of ``tower.verify_windows`` runs in a batch of its own, ``decay``
-on its spectra base config with a seeded random 4,096-letter sample word (a
-factor set of about 3,200 words, where the shipped Fibonacci config has
-14), and one run each of ``tower``, ``words``, ``spectrum`` and every
-``measure`` op.  Each goes through ``cli.dispatch`` into its own directory
-under one temporary directory; measure inputs are referenced by relative
-path, so every digest is independent of where the temporary directory
-lives.  Output is one ``sha256  relative/path`` line per artifact, sorted
-by path, so two checkouts write identical artifacts exactly when their
-outputs are equal.  A run that exits non-zero is named on stderr and makes
-the tool exit 1, since its artifacts are missing from the list:
+2,049 matrices and every length's class products form one large stack in
+``tower.verify_windows``, ``decay`` on its spectra base config with a seeded
+random 4,096-letter sample word (a factor set of about 3,200 words, where
+the shipped Fibonacci config has 14), and one run each of ``tower``,
+``words``, ``spectrum`` and every ``measure`` op.  Each goes through
+``cli.dispatch`` into its own directory under one temporary directory;
+measure inputs are referenced by relative path, so every digest is
+independent of where the temporary directory lives.  Output is one
+``sha256  relative/path`` line per artifact, sorted by path, so two
+checkouts write identical artifacts exactly when their outputs are equal.  A
+run that exits non-zero is named on stderr and makes the tool exit 1, since
+its artifacts are missing from the list:
 
     python3 tools/artifact_digests.py > before.txt   # in one checkout
     python3 tools/artifact_digests.py > after.txt    # in the other
     diff before.txt after.txt
+
+``tests/artifact_digests.txt`` holds the expected output, and a Tier-1 test
+compares the tool's output with it.
 
 Uses only the standard library and the package under ``src/``.
 """
@@ -73,6 +78,9 @@ def runs() -> list[tuple[str, str, dict]]:
     raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
     raw["refine_tol"] = 4e-7
     out.append(("verify_tol4e-7", "verify", raw))
+    raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
+    raw["H"] = 2.9
+    out.append(("verify_H2.9", "verify", raw))
     raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
     raw["tower"].update(accel_energies=2049, accel_r_max=8)
     out.append(("verify_accel2049_r8", "verify", raw))
