@@ -403,11 +403,12 @@ def _run_words(cfg: RunConfig, out: Path, log) -> int:
     alphabet = sec.get("alphabet")
     if alphabet is not None:
         alphabet = cfg.get("words.alphabet", _list_of(_string))
+    # compute everything before writing, so a rejected length leaves no artifact
     sample = sample_word(spec, sample_len)
-    (out / "sample.txt").write_text(sample + "\n", encoding="utf-8", newline="\n")
     rows = [[n, complexity(spec, n, sample_len)] for n in lengths]
-    write_csv(out / "complexity.csv", ["n", "p"], rows)
     stats = run_stats(spec, sample_len, alphabet)
+    (out / "sample.txt").write_text(sample + "\n", encoding="utf-8", newline="\n")
+    write_csv(out / "complexity.csv", ["n", "p"], rows)
     write_json(out / "run_stats.json", {**_record(stats), **_meta(cfg)})
     log(f"words: sample of {sample_len} letters, p({lengths[-1]}) = {rows[-1][1]}")
     return 0

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bands import spectrum_approximant
 from .intervals import IntervalSet
-from .sl2 import _angle_mod_pi, _dist_mod_pi, cocycle_rows, cocycle_stack, svd_angles_stack
+from .sl2 import _dist_mod_pi, cocycle_rows, cocycle_stack, svd_angles_stack
 from .words import Potential, ReturnStructure, SubshiftSpec, Word, return_structure
 
 PI = math.pi
@@ -454,14 +454,24 @@ def exclusion_sets(
     For each pair (alpha, beta) of level cores and each observed marker-run
     length j, the excluded set is {E : g(E) <= kappa} with
 
-        g(E) = angle( R_(pi/2 - s(A^E(beta))) C^E_j R_(u(A^E(alpha))) e1, e2 ),
+        g(E) = angle( R_(pi/2 - s(A^E(beta))) C^E_j R_(u(A^E(alpha))) e1, e2 ).
 
-    found by uniform sampling, one (cores, grid) pass per alpha core and
-    marker-run length that covers every beta core at once (per energy the
-    arithmetic of a scan per triple), then one bisection that refines every
-    component edge of every triple at once.  The passes compute in one set of
-    (cores, grid) work arrays, made once per call and freed when it returns,
-    with the operations of the allocating form in the same order.  The passes
+    A rotation adds its angle, angle(R_t w) = angle(w) + t, so g is the
+    distance mod pi of phi = theta + (pi/2 - s_beta) to pi/2, where
+    theta = arctan2(C^E_j R_(u_alpha) e1) depends on alpha, j and E alone:
+    one arctan2 per energy of each (alpha, j) and one add per beta, equal
+    to the rotated vector's angle up to rounding.  For the same reason the
+    s-part of the frame sensitivity c5, the change of pi/2 - s when s shifts
+    by ``frame_delta``, over ``frame_delta``, is 1 up to rounding; only the
+    u-part depends on the cores and the marker block.  And dg/dE = theta' -
+    s_beta' splits into one derivative per core (alpha with its marker run,
+    and beta).
+
+    The sets are found by uniform sampling, one (cores, grid) pass per alpha
+    core and marker-run length that covers every beta core at once (per
+    energy the arithmetic of a scan per triple), then one bisection that
+    refines every component edge of every triple at once.  The passes compute
+    in one set of (cores, grid) work arrays, made once per call.  The passes
     fill one table of (triple index, first and last grid point) per component,
     stably sorted by triple index into (alpha, beta, j) order and checked
     against the component cap before any bisection.  Every edge brackets one
@@ -525,29 +535,13 @@ def exclusion_sets(
             [[pot.value(cores[k][i]) for k in ks] for i in range(n_letters)]
         )
 
-    def unit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.cos(t), np.sin(t)
-
-    def push(vx: np.ndarray, vy: np.ndarray, cpow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The marker power C^E_j applied to the alpha frame vector (vx, vy)."""
-        return cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy, cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
-
-    def work_arrays(shape) -> tuple[np.ndarray, ...]:
-        """Work space of ``frame_angle``: rotated coordinates zx and zy, a
-        float and a boolean array for the mod-pi reductions."""
-        return (*np.empty((3, *shape)), np.empty(shape, dtype=bool))
-
-    def frame_angle(
-        wx: np.ndarray, wy: np.ndarray, cr: np.ndarray, sr: np.ndarray,
-        out: np.ndarray, work: tuple[np.ndarray, ...],
-    ) -> np.ndarray:
-        """Raw projective angle phi of R_(pi/2 - s_b) (wx, wy), with (cr, sr) the
-        cosine and sine of pi/2 - s_b, written to ``out``; g is its distance
-        to pi/2.  zx = cr wx - sr wy and zy = sr wx + cr wy."""
-        zx, zy, tmp, mask = work
-        np.subtract(np.multiply(cr, wx, out=zx), np.multiply(sr, wy, out=tmp), out=zx)
-        np.add(np.multiply(sr, wx, out=zy), np.multiply(cr, wy, out=tmp), out=zy)
-        return _angle_mod_pi(np.arctan2(zy, zx, out=out), out=out, work=(tmp, mask))
+    def theta_of(u: np.ndarray, cpow: np.ndarray) -> np.ndarray:
+        """Raw projective angle of the alpha frame e^(iu) pushed through the
+        marker power C^E_j."""
+        vx, vy = np.cos(u), np.sin(u)
+        wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
+        wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
+        return np.arctan2(wy, wx)
 
     def member(e: np.ndarray, ai: np.ndarray, bi: np.ndarray, ji: np.ndarray) -> np.ndarray:
         """Sublevel membership of each probe e[k] for the triple
@@ -569,9 +563,7 @@ def exclusion_sets(
             use = ji == k
             if use.any():
                 cpow[use] = cocycle_stack(structure.alpha0 * j, e[use], pot)
-        phi = frame_angle(
-            *push(*unit(u_a), cpow), *unit(PI / 2 - s_b), np.empty(e.size), work_arrays(e.shape)
-        )
+        phi = theta_of(u_a, cpow) + (PI / 2 - s_b)
         return np.where(hyp, _dist_mod_pi(phi, PI / 2) <= kappa, True)
 
     n_cores, n_runs = len(cores), len(runs)
@@ -580,53 +572,43 @@ def exclusion_sets(
     cpows = [cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in runs]
     frame_delta = 1e-4  # probe size for the empirical frame-angle sensitivity
     hyp = np.array([h for *_, h in frames])
+    # (cores, grid) rotation angle pi/2 - s of every beta core, and its
+    # change when s shifts by frame_delta: the s-part of c5
     s_all = np.array([s for _, s, _, _ in frames])
-    # (cores, grid) rotations by pi/2 - s of every beta core, plain and with s
-    # shifted by frame_delta
-    cr, sr = unit(PI / 2 - s_all)
-    cr_d, sr_d = unit(PI / 2 - (s_all + frame_delta))
+    rot = PI / 2 - s_all
+    d_s = _dist_mod_pi(PI / 2 - (s_all + frame_delta), rot)
     de = grid_pts[1] - grid_pts[0]
 
     # (cores, grid) work arrays of every scan pass, made once per call:
     # fresh temporaries this large would each fault their pages in again
-    work = work_arrays((n_cores, grid))
-    phi, phi_u, phi_s = np.empty((3, n_cores, grid))
-    grid_member = np.empty((n_cores, grid), dtype=bool)
+    phi, dist, tmp = np.empty((3, n_cores, grid))
+    mask, grid_member = np.empty((2, n_cores, grid), dtype=bool)
 
     def scan(
-        vx: np.ndarray, vy: np.ndarray, vx_d: np.ndarray, vy_d: np.ndarray,
-        not_both: np.ndarray, invalid: np.ndarray, cpow: np.ndarray,
+        u: np.ndarray, not_both: np.ndarray, invalid: np.ndarray, c5_s: np.ndarray,
+        cpow: np.ndarray,
     ) -> tuple:
-        """One pass over every beta core for one alpha frame (vx, vy), shifted
-        frame (vx_d, vy_d) and marker power: row b of each (cores, grid) array
-        belongs to the triple (alpha, cores[b], j).  ``not_both`` marks the
-        cells where either frame is rotation-like and ``invalid`` the grid
-        steps that touch one.  Returns the components as (row, start, end)
-        arrays in row order and c1, c5 per row."""
-        *_, tmp, mask = work
-        wx, wy = push(vx, vy, cpow)
-        frame_angle(wx, wy, cr, sr, phi, work)
-        g = _dist_mod_pi(phi, PI / 2, out=phi_u, work=(tmp, mask))
+        """One pass over every beta core for one alpha frame u and marker
+        power: row b of each (cores, grid) array belongs to the triple
+        (alpha, cores[b], j).  ``not_both`` marks the cells where either frame
+        is rotation-like, ``invalid`` the grid steps that touch one, and
+        ``c5_s`` is the s-part of c5 per row.  Returns the components as
+        (row, start, end) arrays in row order and c1, c5 per row."""
+        theta = theta_of(u, cpow)
+        np.add(theta, rot, out=phi)
+        g = _dist_mod_pi(phi, PI / 2, out=dist, work=(tmp, mask))
         np.logical_or(np.less_equal(g, kappa, out=grid_member), not_both, out=grid_member)
         flips = np.diff(grid_member.astype(np.int8), axis=1, prepend=0, append=0)
         rows, starts = np.nonzero(flips == 1)
         ends = np.nonzero(flips == -1)[1] - 1
 
-        # empirical Lipschitz constant of the composed angle under
-        # frame perturbations (the unnamed closeness constant):
-        # perturb u and s separately and take the worst rate
-        d_u = _dist_mod_pi(
-            frame_angle(*push(vx_d, vy_d, cpow), cr, sr, phi_u, work), phi, out=phi_u,
-            work=(tmp, mask),
-        )
-        d_s = _dist_mod_pi(
-            frame_angle(wx, wy, cr_d, sr_d, phi_s, work), phi, out=phi_s, work=(tmp, mask)
-        )
-        sens = np.divide(np.maximum(d_u, d_s, out=d_u), frame_delta, out=d_u)
-        np.copyto(sens, 0.0, where=not_both)
-        c5 = np.max(sens, axis=1, initial=0.0)
+        # empirical Lipschitz constant of the composed angle under a frame
+        # perturbation of u (the unnamed closeness constant)
+        np.copyto(tmp, _dist_mod_pi(theta_of(u + frame_delta, cpow), theta))
+        np.copyto(tmp, 0.0, where=not_both)
+        c5 = np.maximum(np.max(tmp, axis=1), c5_s) / frame_delta
         steps = _dist_mod_pi(
-            phi[:, 1:], phi[:, :-1], out=phi_s[:, 1:], work=(tmp[:, 1:], mask[:, 1:])
+            phi[:, 1:], phi[:, :-1], out=dist[:, 1:], work=(tmp[:, 1:], mask[:, 1:])
         )
         np.copyto(steps, np.inf, where=invalid)
         c1 = np.min(steps, axis=1) / de
@@ -639,13 +621,12 @@ def exclusion_sets(
     table = []
     c1, c5 = np.empty((2, *shape))
     for ai in range(n_cores):
-        u_a = frames[ai][0]
-        (vx, vy), (vx_d, vy_d) = unit(u_a), unit(u_a + frame_delta)
         not_both = ~(hyp[ai] & hyp)
         invalid = not_both[:, 1:] | not_both[:, :-1]
+        c5_s = np.max(np.where(not_both, 0.0, d_s), axis=1)
         for ji, cpow in enumerate(cpows):
             rows, starts, ends, c1[ai, :, ji], c5[ai, :, ji] = scan(
-                vx, vy, vx_d, vy_d, not_both, invalid, cpow
+                frames[ai][0], not_both, invalid, c5_s, cpow
             )
             table.append(np.stack(((ai * n_cores + rows) * n_runs + ji, starts, ends)))
     # a stable sort keeps each triple's components in grid order

@@ -376,6 +376,7 @@ CONFIG_MISTAKES = [
     ("spectrum", "spectrum.word", "abz", "letter 'z' not in potential domain"),
     ("words", "words.alphabet", 5, "'words.alphabet'"),
     ("words", "words.sample_len", -5, "length must be >= 0"),
+    ("words", "words.complexity_lengths", [1000], "exceeds sample length 64"),
     ("decay", "decay.lam_list", [10, 20], "three couplings"),
     ("tower", "grid", 4, "at least 8 points"),
     ("tower", "tower.sample_len", 30, "level-0 returns"),

@@ -1,8 +1,11 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subshift_spectra import FIBONACCI, IntervalSet, Periodic, Potential
 from subshift_spectra import tower as tower_module
@@ -333,22 +336,26 @@ def test_batched_exclusion_equals_per_triple_bisection(abc_structure, kappa):
     assert any(lo == -3.0 or hi == 3.0 for t in rep.triples for lo, hi in t.intervals)
 
 
-def _reference_triple_scan(structure, pot, grid):
-    """(c1_hat, c5_hat) of every triple from a grid scan per (alpha, beta, j),
-    as exclusion_sets ran before it scanned all betas of an (alpha, j) at once."""
+FRAME_DELTA = 1e-4  # exclusion_sets' probe size for the frame sensitivity c5
+
+
+def _theta(u, cpow):
+    """Raw angle of the frame e^(iu) pushed through the marker power."""
+    vx, vy = np.cos(u), np.sin(u)
+    wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
+    wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
+    return np.arctan2(wy, wx)
+
+
+def _triple_scan(structure, pot, grid, sensitivities):
+    """(alpha, beta, j, c1_hat, c5_hat) of every triple from a grid scan per
+    (alpha, beta, j).  ``sensitivities(u, s, cpow)`` returns the composed angle
+    phi and its changes under the u- and s-perturbations by delta."""
     lv = structure.level(0)
     grid_pts = np.linspace(-3.0, 3.0, grid)
-    de, delta = grid_pts[1] - grid_pts[0], 1e-4
+    de = grid_pts[1] - grid_pts[0]
     frames = {c: svd_angles_stack(cocycle_stack(c, grid_pts, pot)) for c in lv.cores}
     cpows = {j: cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in lv.runs}
-
-    def phi_of(u, s, cpow):
-        vx, vy = np.cos(u), np.sin(u)
-        cr, sr = np.cos(PI / 2 - s), np.sin(PI / 2 - s)
-        wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
-        wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
-        return np.arctan2(sr * wx + cr * wy, cr * wx - sr * wy) % PI
-
     dist = tower_module._dist_mod_pi
     out = []
     for alpha in lv.cores:
@@ -357,11 +364,8 @@ def _reference_triple_scan(structure, pot, grid):
             _, s, _, hb = frames[beta]
             both = ha & hb
             for j in lv.runs:
-                phi = phi_of(u, s, cpows[j])
-                sens = np.maximum(
-                    dist(phi_of(u + delta, s, cpows[j]), phi),
-                    dist(phi_of(u, s + delta, cpows[j]), phi),
-                ) / delta
+                phi, d_u, d_s = sensitivities(u, s, cpows[j])
+                sens = np.maximum(d_u, d_s) / FRAME_DELTA
                 c5 = float(np.max(sens[both], initial=0.0))
                 valid = both[1:] & both[:-1]
                 steps = dist(phi[1:], phi[:-1])
@@ -370,8 +374,46 @@ def _reference_triple_scan(structure, pot, grid):
     return out
 
 
+def _reference_triple_scan(structure, pot, grid):
+    """The scan per triple on the additive angle phi = theta + (pi/2 - s):
+    the u-part of c5 compares theta with the u-shifted theta, the s-part the
+    two rotation angles."""
+    dist = tower_module._dist_mod_pi
+
+    def sensitivities(u, s, cpow):
+        theta = _theta(u, cpow)
+        d_u = dist(_theta(u + FRAME_DELTA, cpow), theta)
+        return theta + (PI / 2 - s), d_u, dist(PI / 2 - (s + FRAME_DELTA), PI / 2 - s)
+
+    return _triple_scan(structure, pot, grid, sensitivities)
+
+
+def _rotated_phi(u, s, cpow):
+    """phi = angle(R_(pi/2 - s) C R_u e1) mod pi from the rotated vector, as
+    exclusion_sets computed it before the rotation became an added angle."""
+    vx, vy = np.cos(u), np.sin(u)
+    cr, sr = np.cos(PI / 2 - s), np.sin(PI / 2 - s)
+    wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
+    wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
+    return np.arctan2(sr * wx + cr * wy, cr * wx - sr * wy) % PI
+
+
+def _rotated_triple_scan(structure, pot, grid):
+    """The scan per triple on the rotated frame, every angle from its own
+    rotated vector."""
+    dist = tower_module._dist_mod_pi
+
+    def sensitivities(u, s, cpow):
+        phi = _rotated_phi(u, s, cpow)
+        d_u = dist(_rotated_phi(u + FRAME_DELTA, s, cpow), phi)
+        return phi, d_u, dist(_rotated_phi(u, s + FRAME_DELTA, cpow), phi)
+
+    return _triple_scan(structure, pot, grid, sensitivities)
+
+
 # b sits on the 257-point grid of [-3, 3], where the core "b" is a rotation
 ABC_POT_ROTATION = Potential({"a": 0.0, "b": 0.75, "c": -2.5})
+ABC_POT_STRONG = Potential({"a": 0.0, "b": 30.0, "c": -20.0})
 
 
 @pytest.mark.parametrize("pot", [ABC_POT, ABC_POT_ROTATION])
@@ -383,6 +425,60 @@ def test_batched_scan_equals_per_triple_scan(abc_structure, pot):
     assert rep.c5_hat == max(c5 for *_, c5 in ref)
     # the case covers rows with different values of both constants
     assert len({t.c1_hat for t in rep.triples}) > 1 and len({t.c5_hat for t in rep.triples}) > 1
+
+
+ANGLE_TOL = 4 * np.finfo(float).eps * PI
+
+
+@pytest.mark.parametrize("pot", [ABC_POT, ABC_POT_ROTATION, ABC_POT_STRONG])
+def test_additive_angle_matches_rotated_frame(abc_structure, pot):
+    # the added rotation angle finds the same intervals as the rotated frame,
+    # and moves c1 and c5 by rounding only, in angle units
+    grid, kappa = 257, 1.0
+    rep = exclusion_sets(abc_structure, 0, pot, kappa, (-3.0, 3.0), grid, 1e-6)
+    ref = _reference_triple_exclusions(abc_structure, pot, kappa, (-3.0, 3.0), grid, 1e-6)
+    assert [(t.alpha, t.beta, t.j, t.intervals) for t in rep.triples] == ref
+    step = 6.0 / (grid - 1)
+    rotated = _rotated_triple_scan(abc_structure, pot, grid)
+    for t, (alpha, beta, j, c1, c5) in zip(rep.triples, rotated, strict=True):
+        assert (t.alpha, t.beta, t.j) == (alpha, beta, j)
+        assert t.c1_hat == c1 == math.inf or abs(t.c1_hat - c1) * step <= ANGLE_TOL
+        assert abs(t.c5_hat - c5) * FRAME_DELTA <= ANGLE_TOL
+    # the rotated angle, reduced mod pi, wraps between 0 and pi inside a
+    # hyperbolic stretch of the grid, where the added angle runs on past it
+    grid_pts = np.linspace(-3.0, 3.0, grid)
+    lv = abc_structure.level(0)
+    frames = [svd_angles_stack(cocycle_stack(c, grid_pts, pot)) for c in lv.cores]
+    wraps = 0
+    for (u, _, _, ha), (_, s, _, hb), j in itertools.product(frames, frames, lv.runs):
+        both, cpow = ha & hb, cocycle_stack(abc_structure.alpha0 * j, grid_pts, pot)
+        wraps += np.count_nonzero(
+            (np.abs(np.diff(_rotated_phi(u, s, cpow))) > PI / 2) & both[1:] & both[:-1]
+        )
+    assert wraps > 0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.floats(-PI, PI),
+    st.floats(1e-3, 1e3),
+    st.floats(-PI / 2, 3 * PI / 2),
+    st.none() | st.tuples(st.integers(-1, 2), st.floats(-1e-9, 1e-9)),
+)
+def test_added_angle_equals_rotated_angle(a, r, t, wrap):
+    # g from the added rotation angle, dist(arctan2(w) + t, pi/2), matches g
+    # from the rotated vector R_t w within 4 eps pi.  With ``wrap`` = (k, d),
+    # t = k pi - arctan2(w) + d puts the rotated angle next to the 0/pi wrap
+    wx, wy = np.array([r * math.cos(a)]), np.array([r * math.sin(a)])
+    theta = np.arctan2(wy, wx)
+    if wrap is not None:
+        k, d = wrap
+        t = k * PI - float(theta[0]) + d
+    added = tower_module._dist_mod_pi(theta + t, PI / 2)
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    zx, zy = cos_t * wx - sin_t * wy, sin_t * wx + cos_t * wy
+    rotated = tower_module._dist_mod_pi(np.arctan2(zy, zx) % PI, PI / 2)
+    assert abs(added[0] - rotated[0]) <= ANGLE_TOL
 
 
 def _count_cocycle_calls(monkeypatch):

@@ -28,6 +28,13 @@ its artifacts are missing from the list:
     python3 tools/artifact_digests.py > after.txt    # in the other
     diff before.txt after.txt
 
+``--keep DIR`` also copies the artifact tree to DIR (which must not exist),
+so ``tools/artifact_diff.py`` can show which values of a moved file changed:
+
+    python3 tools/artifact_digests.py --keep before   # in one checkout
+    python3 tools/artifact_digests.py --keep after    # in the other
+    python3 tools/artifact_diff.py before after
+
 ``tests/artifact_digests.txt`` holds the expected output, and a Tier-1 test
 compares the tool's output with it.
 
@@ -36,11 +43,13 @@ Uses only the standard library and the package under ``src/``.
 
 from __future__ import annotations
 
+import argparse
 import copy
 import hashlib
 import json
 import os
 import random
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -99,7 +108,11 @@ def runs() -> list[tuple[str, str, dict]]:
     return out
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="sha256 of every artifact of a fixed run set")
+    ap.add_argument("--keep", type=Path, help="also copy the artifact tree to this new directory")
+    args = ap.parse_args(argv)
+    keep = args.keep.resolve() if args.keep else None
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         os.chdir(work)
@@ -115,6 +128,8 @@ def main() -> int:
         for path in sorted(p for p in outputs.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(outputs).as_posix()}")
+        if keep is not None:
+            shutil.copytree(outputs, keep)
         os.chdir(ROOT)
     return int(failed)
 
