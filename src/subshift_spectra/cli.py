@@ -25,7 +25,7 @@ from .experiments import (
     scaled_product_suite,
 )
 from .intervals import IntervalSet, interval_algebra
-from .tower import Constants, TowerResult, tower_pipeline
+from .tower import Constants, CouplingTooSmallError, TowerResult, tower_pipeline
 from .words import (
     AdzStages,
     Periodic,
@@ -659,7 +659,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         return dispatch(args.command, cfg, args.out, args.quiet)
     except (ValueError, UnknownLetterError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        prefix = "" if isinstance(exc, CouplingTooSmallError) else "configuration error: "
+        print(f"{prefix}{exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)

@@ -169,17 +169,19 @@ def _dist_mod_pi(
 ) -> np.ndarray:
     """Elementwise ``min(|a - b| % pi, pi - |a - b| % pi)``, bit for bit.
 
-    ``m % pi == m`` exactly for m in [0, pi), so only the other entries (NaN
-    included) go through numpy's scalar-loop ``%``.  The result goes to
-    ``out`` when given (it may be ``a`` or ``b``), and ``work``, a float and
-    a boolean array of the result's shape, holds the intermediates, so a
-    caller that passes both allocates nothing.
+    ``m % pi == m`` exactly for m in [0, pi), and ``m % pi == m - pi`` for m
+    in [pi, 2 pi), where the subtraction is exact (Sterbenz), so only the
+    other entries (NaN included) go through numpy's scalar-loop ``%``.  The
+    result goes to ``out`` when given (it may be ``a`` or ``b``), and
+    ``work``, a float and a boolean array of the result's shape, holds the
+    intermediates, so a caller that passes both allocates nothing.
     """
     tmp, mask = (None, None) if work is None else work
     m = np.asarray(np.abs(np.subtract(a, b, out=out), out=out))
-    big = np.logical_not(np.less(m, PI, out=mask), out=mask)
+    big = np.logical_not(np.less(m, 2 * PI, out=mask), out=mask)
     if big.any():
         m[big] %= PI
+    np.subtract(m, PI, out=m, where=np.greater_equal(m, PI, out=mask))
     return np.minimum(m, np.subtract(PI, m, out=tmp), out=out)
 
 

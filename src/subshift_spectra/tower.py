@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .bands import spectrum_approximant
-from .intervals import IntervalSet
+from .intervals import MERGE_TOL, IntervalSet
 from .sl2 import _dist_mod_pi, cocycle_rows, cocycle_stack, svd_angles_stack
 from .words import Potential, ReturnStructure, SubshiftSpec, Word, return_structure
 
@@ -36,6 +36,10 @@ BISECT_DEPTH = 3
 
 class ScheduleError(ValueError):
     """A schedule precondition or recursion failed; the message names it."""
+
+
+class CouplingTooSmallError(ScheduleError):
+    """The coupling is too small for the schedule; the message names the inequality."""
 
 
 class CocycleOverflowError(RuntimeError):
@@ -315,8 +319,8 @@ def init_schedule(
     if not c < 2.0 - 3.0 * gamma_prime:
         raise ScheduleError("parameter chain violated: need c < 2 - 3*gamma_prime")
     if not lam > 2.0 * consts.cone_gap:
-        raise ScheduleError(
-            f"coupling lam={lam} too small: need lam > 2*cone_gap = {2 * consts.cone_gap}"
+        raise CouplingTooSmallError(
+            f"coupling too small: need lam > 2*cone_gap = {2 * consts.cone_gap}, got lam={lam}"
         )
     if inf_l0 < 1 or sup_l0 < inf_l0:
         raise ScheduleError(f"bad level-0 length stats: inf={inf_l0}, sup={sup_l0}")
@@ -349,16 +353,14 @@ def advance_schedule(
     chi_{n+1} = chi_n + (log kappa_n - P log C) / inf l_n, the exact infimum
     of the per-window growth exponent (attained by a single shortest block,
     since the numerator is negative); then lam_bar, kappa, M, zeta follow
-    their defining recursions.  Raises ``ScheduleError`` when chi_{n+1} <= 0,
+    their defining recursions.  Raises ``CouplingTooSmallError`` when chi_{n+1} <= 0,
     i.e. the coupling is too small for this schedule.
     """
     cur = sched.levels[-1]
     step = (cur.log_kappa - sched.consts.P * math.log(sched.c_value)) / cur.inf_l
     chi_next = cur.chi + step
     if chi_next <= 0.0:
-        raise ScheduleError(
-            f"coupling too small for this schedule: chi_{cur.n + 1} = {chi_next:.6g} <= 0"
-        )
+        raise CouplingTooSmallError(f"coupling too small: chi_{cur.n + 1} = {chi_next:.6g} <= 0")
     if inf_l_next < 1 or sup_l_next < inf_l_next:
         raise ScheduleError(f"bad level-{cur.n + 1} length stats")
     if observed_r is not None and not (
@@ -422,21 +424,42 @@ class ExclusionReport:
 
 
 def _distinct_core_probes(
-    e: np.ndarray, ai: np.ndarray, bi: np.ndarray
+    probes: np.ndarray, bracket: np.ndarray, ai: np.ndarray, bi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (core, energy) pairs that probes e[k] of the triples
-    (cores[ai[k]], cores[bi[k]], .) evaluate, over both roles.
+    """The distinct (core, energy) pairs that the edges k, each probing the
+    row probes[bracket[k]] for the triple (cores[ai[k]], cores[bi[k]], .),
+    evaluate over both roles.
 
     Energies are keyed on their bits, so -0.0 and 0.0 stay apart and equal
     NaNs merge.  Returns the core index and the energy of each pair, then the
-    pair index of each probe's alpha role and of its beta role.
+    (edges, probes per row) pair indices of each edge's alpha and beta roles.
     """
-    _, e_id = np.unique(e.view(np.int64), return_inverse=True)
-    core = np.concatenate((ai, bi))
-    _, first, pair = np.unique(
-        core * e.size + np.tile(e_id, 2), return_index=True, return_inverse=True
+    n_rows, width = probes.shape
+    _, e_id = np.unique(probes.view(np.int64).ravel(), return_inverse=True)
+    # the distinct (core, row) pairs over both roles, then their energies
+    row_key, row_pair = np.unique(
+        np.concatenate((ai, bi)) * n_rows + np.tile(bracket, 2), return_inverse=True
     )
-    return core[first], np.tile(e, 2)[first], pair[: e.size], pair[e.size :]
+    row_core, row = np.divmod(row_key, n_rows)
+    keys = row_core[:, None] * probes.size + e_id.reshape(probes.shape)[row]
+    _, first, pair = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    pair = pair.reshape(keys.shape)[row_pair]
+    return np.repeat(row_core, width)[first], probes[row].ravel()[first], *np.split(pair, 2)
+
+
+def _triple_sets(tri: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) -> list[IntervalSet]:
+    """``IntervalSet.from_pairs`` of the (lo, hi) rows of each triple 0 .. n - 1
+    of a table sorted by triple, with lo and hi strictly increasing in a triple
+    (else ``ValueError``): a row joins its predecessor unless lo > hi + MERGE_TOL."""
+    same = tri[1:] == tri[:-1]
+    if not np.all(lo <= hi) or np.any(same & ((lo[1:] <= lo[:-1]) | (hi[1:] <= hi[:-1]))):
+        raise ValueError("a triple's rows need lo <= hi, both strictly increasing")
+    cut = np.ones(tri.size + 1, dtype=bool)
+    cut[1:-1] = ~same | (lo[1:] > hi[:-1] + MERGE_TOL)
+    first, last = np.flatnonzero(cut[:-1]), np.flatnonzero(cut[1:])
+    merged = list(zip(lo[first].tolist(), hi[last].tolist()))
+    bounds = np.searchsorted(tri[first], np.arange(n + 1)).tolist()
+    return [IntervalSet(tuple(merged[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def exclusion_sets(
@@ -468,32 +491,35 @@ def exclusion_sets(
     and beta).
 
     The sets are found by uniform sampling, one (cores, grid) pass per alpha
-    core and marker-run length that covers every beta core at once (per
-    energy the arithmetic of a scan per triple), then one bisection that
-    refines every component edge of every triple at once.  The passes compute
-    in one set of (cores, grid) work arrays, made once per call.  The passes
-    fill one table of (triple index, first and last grid point) per component,
-    stably sorted by triple index into (alpha, beta, j) order and checked
-    against the component cap before any bisection.  Every edge brackets one
-    grid step, its last point inside and first point outside, so all edges run
-    the ceil(log2(largest step / refine_tol)) rounds of the largest step:
-    linspace steps differ only in their last bits, so an edge takes at most
-    one round more than its own step needs, tighter and never looser.  The
-    rounds go ``BISECT_DEPTH`` at a time: one pass takes every midpoint the
-    next rounds could visit, evaluates each distinct (core, energy) pair of
-    those probes once over both roles (alpha gives u, beta gives s), in one
-    cocycle recurrence and one split per core length, and each marker power
-    once per run length, and then takes those rounds.  Each probe is the float
-    a one-round loop would compute, so the endpoints do not depend on the
-    depth.  Recorded endpoints sit on the outside of each component
-    (conservative by at most ``refine_tol`` per side); components entirely
-    between grid points are missed, which is the documented grid resolution
-    limit.  Energies where either core's cocycle is rotation-like are folded
-    into the exclusion (tangency is then undefined but hyperbolicity fails,
-    which is exactly what exclusion must cover).  A core cocycle with a
-    non-finite entry, from float64 overflow on long cores, raises
-    ``CocycleOverflowError`` instead, without numpy overflow warnings: its
-    frames say nothing.
+    core and marker-run length that covers every beta core at once, in (cores,
+    grid) work arrays made once per call; a pass finds its components where
+    grid membership changes between neighbours.  The passes fill one table of
+    (triple index, first and last grid point) per component, stably sorted by
+    triple index into (alpha, beta, j) order and checked against the component
+    cap before any bisection.  Every edge brackets one grid step, its last
+    point inside and first point outside, so all edges run the
+    ceil(log2(largest step / refine_tol)) rounds of the largest step: linspace
+    steps differ only in their last bits, so an edge takes at most one round
+    more than its own step needs, tighter and never looser.  A bracket is a
+    function of its grid step and side, later of its parent bracket and the
+    leaf reached, so each distinct bracket is refined once for all the edges
+    on it.  The rounds go ``BISECT_DEPTH`` at a time: one pass takes every
+    midpoint the next rounds could visit in each bracket, evaluates each
+    distinct (core, energy) pair of the edges' probes once over both roles
+    (alpha gives u, beta gives s), in one cocycle recurrence and one split per
+    core length, and each marker power once per run length and bracket, and
+    then takes those rounds.  Each probe is the float a one-round loop would
+    compute, so the endpoints depend neither on the depth nor on the sharing,
+    and a triple's components stay in grid order, so one pass over the table
+    merges the touching ones.  Recorded endpoints sit on the outside of each
+    component (conservative by at most ``refine_tol`` per side); components
+    entirely between grid points are missed, which is the documented grid
+    resolution limit.  Energies where either core's cocycle is rotation-like
+    are folded into the exclusion (tangency is then undefined but
+    hyperbolicity fails, which is exactly what exclusion must cover).  A core
+    cocycle with a non-finite entry, from float64 overflow on long cores,
+    raises ``CocycleOverflowError`` instead, without numpy overflow warnings:
+    its frames say nothing.
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
@@ -539,15 +565,17 @@ def exclusion_sets(
         """Raw projective angle of the alpha frame e^(iu) pushed through the
         marker power C^E_j."""
         vx, vy = np.cos(u), np.sin(u)
-        wx = cpow[:, 0, 0] * vx + cpow[:, 0, 1] * vy
-        wy = cpow[:, 1, 0] * vx + cpow[:, 1, 1] * vy
+        wx = cpow[..., 0, 0] * vx + cpow[..., 0, 1] * vy
+        wy = cpow[..., 1, 0] * vx + cpow[..., 1, 1] * vy
         return np.arctan2(wy, wx)
 
-    def member(e: np.ndarray, ai: np.ndarray, bi: np.ndarray, ji: np.ndarray) -> np.ndarray:
-        """Sublevel membership of each probe e[k] for the triple
-        (cores[ai[k]], cores[bi[k]], runs[ji[k]])."""
+    def member(
+        probes: np.ndarray, bracket: np.ndarray, ai: np.ndarray, bi: np.ndarray, ji: np.ndarray
+    ) -> np.ndarray:
+        """Sublevel membership, one row per edge k, of the probes
+        probes[bracket[k]] for the triple (cores[ai[k]], cores[bi[k]], runs[ji[k]])."""
         # each distinct (core, energy) pair once, one recurrence per core length
-        core, energy, alpha_pair, beta_pair = _distinct_core_probes(e, ai, bi)
+        core, energy, alpha_pair, beta_pair = _distinct_core_probes(probes, bracket, ai, bi)
         u, s, h = np.empty(energy.size), np.empty(energy.size), np.empty(energy.size, dtype=bool)
         for n_letters, values in tables.items():
             sel = np.flatnonzero(core_length[core] == n_letters)
@@ -558,11 +586,13 @@ def exclusion_sets(
                 mats = np.stack(rows, axis=-1).reshape(sel.size, 2, 2)
                 u[sel], s[sel], _, h[sel] = frames_of(mats, n_letters)
         u_a, s_b, hyp = u[alpha_pair], s[beta_pair], h[alpha_pair] & h[beta_pair]
-        cpow = np.empty((e.size, 2, 2))
+        cpow = np.empty((*alpha_pair.shape, 2, 2))
         for k, j in enumerate(runs):
             use = ji == k
             if use.any():
-                cpow[use] = cocycle_stack(structure.alpha0 * j, e[use], pot)
+                rows, row_of = np.unique(bracket[use], return_inverse=True)
+                mats = cocycle_stack(structure.alpha0 * j, probes[rows].ravel(), pot)
+                cpow[use] = mats.reshape(rows.size, -1, 2, 2)[row_of]
         phi = theta_of(u_a, cpow) + (PI / 2 - s_b)
         return np.where(hyp, _dist_mod_pi(phi, PI / 2) <= kappa, True)
 
@@ -582,7 +612,11 @@ def exclusion_sets(
     # (cores, grid) work arrays of every scan pass, made once per call:
     # fresh temporaries this large would each fault their pages in again
     phi, dist, tmp = np.empty((3, n_cores, grid))
-    mask, grid_member = np.empty((2, n_cores, grid), dtype=bool)
+    mask = np.empty((n_cores, grid), dtype=bool)
+    # membership between two outside columns: per row, its 1st, 3rd, ... change
+    # is a component's first point and its 2nd, 4th, ... one is one past its last
+    padded = np.zeros((n_cores, grid + 2), dtype=bool)
+    grid_member, flips = padded[:, 1:-1], np.empty((n_cores, grid + 1), dtype=bool)
 
     def scan(
         u: np.ndarray, not_both: np.ndarray, invalid: np.ndarray, c5_s: np.ndarray,
@@ -598,9 +632,8 @@ def exclusion_sets(
         np.add(theta, rot, out=phi)
         g = _dist_mod_pi(phi, PI / 2, out=dist, work=(tmp, mask))
         np.logical_or(np.less_equal(g, kappa, out=grid_member), not_both, out=grid_member)
-        flips = np.diff(grid_member.astype(np.int8), axis=1, prepend=0, append=0)
-        rows, starts = np.nonzero(flips == 1)
-        ends = np.nonzero(flips == -1)[1] - 1
+        rows, cols = np.nonzero(np.not_equal(padded[:, 1:], padded[:, :-1], out=flips))
+        rows, starts, ends = rows[::2], cols[::2], cols[1::2] - 1
 
         # empirical Lipschitz constant of the composed angle under a frame
         # perturbation of u (the unnamed closeness constant)
@@ -641,14 +674,18 @@ def exclusion_sets(
             f"components, above cap {consts.triple_component_cap}"
         )
 
-    # bisect every edge; f stays outside its component and t inside.  One pass
-    # takes up to BISECT_DEPTH rounds: it evaluates every midpoint those rounds
-    # could probe, a heap-ordered tree per edge in which node n brackets (f, t)
+    # bisect every edge; f stays outside its component and t inside.  Edges are
+    # keyed by bracket (f, t), first by grid step and side.  One pass takes up
+    # to BISECT_DEPTH rounds: it evaluates every midpoint those rounds could
+    # probe, a heap-ordered tree per bracket in which node n brackets (f, t)
     # and its probe, inside or not, leads to child 2n + 1 = (f, probe) or
-    # 2n + 2 = (probe, t).
+    # 2n + 2 = (probe, t); the leaves reached are the next pass's brackets.
     left, right = starts > 0, ends < grid - 1
-    f = np.concatenate((grid_pts[starts[left] - 1], grid_pts[ends[right] + 1]))
-    t = np.concatenate((grid_pts[starts[left]], grid_pts[ends[right]]))
+    step_side, bracket = np.unique(
+        np.concatenate((2 * starts[left] - 2, 2 * ends[right] + 1)), return_inverse=True
+    )
+    step, side = np.divmod(step_side, 2)  # a right edge's f lies above its t
+    f, t = grid_pts[step + side], grid_pts[step + 1 - side]
     keys = np.array(np.unravel_index(np.concatenate((tri[left], tri[right])), shape))
     gap = float(np.max(np.diff(grid_pts)))
     rounds = max(0, math.ceil(math.log2(max(gap / refine_tol, 1.0)))) if f.size else 0
@@ -662,27 +699,26 @@ def exclusion_sets(
             fs[:, 2 * n + 1], ts[:, 2 * n + 1] = fs[:, n], mid
             fs[:, 2 * n + 2], ts[:, 2 * n + 2] = mid, ts[:, n]
         # node n's probe is the t of its left child
-        probes = ts[:, 1 : 2 * n_probes : 2]
-        inside = member(probes.ravel(), *np.repeat(keys, n_probes, axis=1)).reshape(probes.shape)
-        node, edge = np.zeros(f.size, dtype=int), np.arange(f.size)
+        inside = member(ts[:, 1 : 2 * n_probes : 2], bracket, *keys)
+        node, edge = np.zeros(bracket.size, dtype=int), np.arange(bracket.size)
         for _ in range(depth):
             node = 2 * node + 2 - inside[edge, node]
-        f, t = fs[edge, node], ts[edge, node]
+        leaf, bracket = np.unique(bracket * fs.shape[1] + node, return_inverse=True)
+        f, t = fs.ravel()[leaf], ts.ravel()[leaf]
 
     lo_pts, hi_pts = grid_pts[starts], grid_pts[ends]
-    lo_pts[left], hi_pts[right] = np.split(f, [np.count_nonzero(left)])
-    pairs = list(zip(lo_pts.tolist(), hi_pts.tolist()))
-    bounds = np.searchsorted(tri, np.arange(c1.size + 1)).tolist()
+    lo_pts[left], hi_pts[right] = np.split(f[bracket], [np.count_nonzero(left)])
     c1_all, c5_all = c1.ravel().tolist(), c5.ravel().tolist()
     triples = [
-        TripleExclusion(alpha, beta, j, IntervalSet.from_pairs(pairs[a:b]), c1_k, c5_k)
-        for (alpha, beta, j), a, b, c1_k, c5_k in zip(
-            itertools.product(cores, cores, runs), bounds, bounds[1:], c1_all, c5_all
+        TripleExclusion(alpha, beta, j, intervals, c1_k, c5_k)
+        for (alpha, beta, j), intervals, c1_k, c5_k in zip(
+            itertools.product(cores, cores, runs),
+            _triple_sets(tri, lo_pts, hi_pts, c1.size), c1_all, c5_all,
         )
     ]
     # Python's min and max fold in (alpha, beta, j) order from inf and 0.0
     c1_level, c5_level = min([math.inf, *c1_all]), max([0.0, *c5_all])
-    j_set = IntervalSet.from_pairs(pairs).clip(lo, hi)
+    j_set = IntervalSet.from_pairs(np.column_stack((lo_pts, hi_pts))).clip(lo, hi)
     return ExclusionReport(
         level, kappa, (lo, hi), grid, refine_tol, triples, j_set, c1_level, c5_level, []
     )

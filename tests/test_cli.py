@@ -381,6 +381,7 @@ CONFIG_MISTAKES = [
     ("tower", "grid", 4, "at least 8 points"),
     ("tower", "tower.sample_len", 30, "level-0 returns"),
     ("tower", "tower.levels", -1, "levels must be >= 0"),
+    ("verify", "gamma_prime", 0.3, "parameter chain violated: need gamma_prime < 1/4"),
     ("tower", "tower.approx_len", 0, "factor length must be >= 1"),
     ("verify", "suite.trials", 0, "at least one trial"),
     ("adz", "adz.k", 1, "alphabet of size >= 2"),
@@ -408,6 +409,28 @@ def test_config_mistake_is_one_line_exit_2(tmp_path, capsys, command, key, value
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ") and needle in err[0]
+    assert not list((tmp_path / "o").rglob("*"))  # no artifact
+
+
+COUPLING_TOO_SMALL = [
+    ({"subshift": {**FIBONACCI_SPEC, "rules": {"a": "ab", "b": "aa"}}}, "chi_1 = -0.651196 <= 0"),
+    ({"potential": {"a": 0.0, "b": 5.0}}, "need lam > 2*cone_gap = 6.0, got lam=5.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "override, needle", COUPLING_TOO_SMALL, ids=["period_doubling_lam200", "lam5"]
+)
+def test_coupling_too_small_is_told_apart_from_config_mistakes(
+    tmp_path, capsys, override, needle
+):
+    # exit 2 as a config mistake, but under its own prefix, so a coupling sweep
+    # can tell "coupling too small" from a typo
+    payload = {**json.loads((CONFIGS / "acceptance_verify_lam200.json").read_text()), **override}
+    cfg_path = write_config(tmp_path, payload)
+    code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"coupling too small: {needle}"]
     assert not list((tmp_path / "o").rglob("*"))  # no artifact
 
 

@@ -223,7 +223,11 @@ _NEAR_PI = float(np.nextafter(PI, 0.0))
 # signed zeros, the ends of arctan2's range and their neighbours, negative
 # subnormals and tiny negatives that vanish against pi, and NaN
 _ANGLE_EDGES = [0.0, -0.0, PI, -PI, _NEAR_PI, -_NEAR_PI, -5e-324, -1e-300, 5e-324, math.nan]
-_DIST_EDGES = _ANGLE_EDGES + [math.inf, -math.inf, 2 * PI, -2 * PI, 3 * PI / 2, 1e300, -1e300]
+# and the ends of the subtraction fold [pi, 2 pi) with their neighbours
+_DIST_EDGES = _ANGLE_EDGES + [
+    math.inf, -math.inf, 2 * PI, -2 * PI, 3 * PI / 2, 1e300, -1e300, 4 * PI,
+    *(float(np.nextafter(x, y)) for x, y in [(PI, 4.0), (2 * PI, 0.0), (2 * PI, 7.0)]),
+]
 
 
 def _bits(x) -> np.ndarray:

@@ -559,30 +559,41 @@ def test_component_cap_names_first_triple_in_alpha_beta_j_order(abc_structure):
 
 def test_distinct_core_probes_keys_on_energy_bits():
     nan, other_nan = float("nan"), np.array([0x7FF8000000000001]).view(float)[0]
-    e = np.array([0.5, -0.0, 0.0, 0.5, nan, 0.5, -0.0, nan, 1.25, other_nan])
-    ai = np.array([0, 1, 1, 2, 0, 1, 0, 0, 2, 0])
-    bi = np.array([1, 0, 1, 0, 2, 2, 1, 0, 2, 0])
-    core, energy, alpha_pair, beta_pair = tower_module._distinct_core_probes(e, ai, bi)
-    bits = e.view(np.int64).tolist()
-    # (1, 0.5) is a beta probe of entry 0 and an alpha probe of entry 5;
+    # rows of probes shared by edges; rows repeat energies of other rows
+    probes = np.array([[0.5, -0.0, 0.0], [nan, 0.5, -0.0], [nan, 1.25, other_nan]])
+    bracket = np.array([0, 1, 0, 2, 1, 2, 0])
+    ai = np.array([0, 1, 1, 2, 0, 0, 2])
+    bi = np.array([1, 0, 1, 0, 2, 0, 2])
+    core, energy, alpha_pair, beta_pair = tower_module._distinct_core_probes(
+        probes, bracket, ai, bi
+    )
+    bits = probes.view(np.int64).tolist()
+    # (1, 0.5) is a beta probe of edge 0 and an alpha probe of edge 1;
     # -0.0 and 0.0 stay apart, equal NaNs merge and NaN payloads do not
-    want = set(zip(ai.tolist(), bits)) | set(zip(bi.tolist(), bits))
+    want = {
+        (int(c), x) for k in range(bracket.size) for c in (ai[k], bi[k]) for x in bits[bracket[k]]
+    }
     got = list(zip(core.tolist(), energy.view(np.int64).tolist()))
-    assert len(got) == len(want) == 10 and set(got) == want
-    for k in range(e.size):
-        assert got[alpha_pair[k]] == (ai[k], bits[k])
-        assert got[beta_pair[k]] == (bi[k], bits[k])
+    assert len(got) == len(want) == 16 and set(got) == want
+    assert alpha_pair.shape == beta_pair.shape == (bracket.size, probes.shape[1])
+    for k, n in itertools.product(range(bracket.size), range(probes.shape[1])):
+        assert got[alpha_pair[k, n]] == (ai[k], bits[bracket[k]][n])
+        assert got[beta_pair[k, n]] == (bi[k], bits[bracket[k]][n])
 
 
 def test_bisection_evaluates_each_distinct_core_probe_once(abc_structure, monkeypatch):
     distinct = tower_module._distinct_core_probes
-    pairs, roles, evaluated = [], [], []
+    pairs, roles, evaluated, brackets, edges = [], [], [], [], []
 
-    def recorded(e, ai, bi):
-        bits = e.view(np.int64).tolist()
-        pairs.append(len(set(zip(ai.tolist(), bits)) | set(zip(bi.tolist(), bits))))
-        roles.append(2 * e.size)
-        return distinct(e, ai, bi)
+    def recorded(probes, bracket, ai, bi):
+        bits = probes.view(np.int64).tolist()
+        pairs.append(len({
+            (c, x) for k in range(bracket.size) for c in (ai[k], bi[k]) for x in bits[bracket[k]]
+        }))
+        roles.append(2 * bracket.size * probes.shape[1])
+        brackets.append(probes.shape[0])
+        edges.append(bracket.size)
+        return distinct(probes, bracket, ai, bi)
 
     def counted(xs, shape):
         evaluated.append(shape)
@@ -596,6 +607,77 @@ def test_bisection_evaluates_each_distinct_core_probe_once(abc_structure, monkey
     assert sum(evaluated) == sum(pairs) < sum(roles)
     n_lengths = len({len(core) for core in abc_structure.level(0).cores})
     assert len(pairs) <= len(evaluated) <= n_lengths * len(pairs)
+    # edges of different triples share brackets
+    assert all(b < e for b, e in zip(brackets, edges)) and brackets
+
+
+def _per_triple_sets(tri, lo, hi, n_triples):
+    """The reference: from_pairs on each triple's rows."""
+    return [
+        IntervalSet.from_pairs([(a, b) for t, a, b in zip(tri, lo, hi) if t == k])
+        for k in range(n_triples)
+    ]
+
+
+def _random_component_table(gen, grid_pts, n_triples):
+    """Components of each triple as grid runs with outside points between
+    them.  Bisection leaves an edge in its outside grid step, on the outside
+    point itself when every probe was inside, so that two components one
+    outside point apart touch."""
+
+    def edge(outside, inside):
+        return outside + gen.choice([0.0, gen.random()]) * (inside - outside)
+
+    tri, lo, hi = [], [], []
+    for k in range(n_triples):
+        inside = gen.random(grid_pts.size) < gen.choice([0.0, 0.3, 0.7, 1.0])
+        cols = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(int), [0]))))
+        for start, stop in zip(cols[::2], cols[1::2]):
+            a, b = grid_pts[start], grid_pts[stop - 1]
+            tri.append(k)
+            lo.append(edge(grid_pts[start - 1], a) if start > 0 else a)
+            hi.append(edge(grid_pts[stop], b) if stop < grid_pts.size else b)
+    return np.array(tri, dtype=int), np.array(lo), np.array(hi)
+
+
+def test_one_pass_merge_equals_from_pairs_per_triple():
+    g = np.linspace(-3.0, 3.0, 17)
+    tol = tower_module.MERGE_TOL
+    rows = [
+        (0, g[0], g[2]),  # a component at grid index 0
+        (0, g[4], g[6]),
+        (0, g[10], g[16]),  # and at grid index 16 = grid - 1
+        (1, g[3], g[5]),
+        (1, g[5], g[6]),  # touching: hi == lo
+        (1, g[7] + 0.25 * (g[8] - g[7]), g[9]),
+        (3, -0.5, 0.5),
+        (3, 0.5 + 0.5 * tol, 0.75),  # within MERGE_TOL
+        (3, 0.75 + 4 * tol, 1.0),  # beyond it
+    ]
+    tri, lo, hi = (np.array(col) for col in zip(*rows))
+    want = _per_triple_sets(tri, lo, hi, 5)
+    assert tower_module._triple_sets(tri, lo, hi, 5) == want  # triples 2 and 4 empty
+    assert [len(s) for s in want] == [3, 2, 0, 2, 0]
+    empty = np.array([], dtype=int), np.array([]), np.array([])
+    assert tower_module._triple_sets(*empty, 3) == [IntervalSet.empty()] * 3
+    assert tower_module._triple_sets(*empty, 0) == []
+    gen, merges = np.random.default_rng(20), 0
+    for _ in range(200):
+        table = _random_component_table(gen, g, 4)
+        got = tower_module._triple_sets(*table, 4)
+        assert got == _per_triple_sets(*table, 4)
+        merges += table[0].size - sum(len(s) for s in got)
+    assert merges > 0
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [([0.0, -1.0], [1.0, 2.0]), ([0.0, 0.5], [2.0, 1.0]), ([0.0, 2.0], [1.0, 1.5])],
+    ids=["lo_decreasing", "hi_decreasing", "lo_above_hi"],
+)
+def test_one_pass_merge_rejects_unordered_table(lo, hi):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tower_module._triple_sets(np.array([0, 0]), np.array(lo), np.array(hi), 1)
 
 
 def test_probe_overflow_raises(abc_structure, monkeypatch):
