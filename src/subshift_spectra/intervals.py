@@ -16,6 +16,15 @@ import numpy as np
 MERGE_TOL = 1e-12
 
 
+def _cuts(lo: np.ndarray, run: np.ndarray, merge_tol: float, new=False) -> np.ndarray:
+    """The merge rule, one flag before each row of a (lo, hi)-ordered sweep and one
+    after the last: a row starts an interval if it is the first, is marked ``new``,
+    or its lo exceeds the running max hi ``run`` before it by more than ``merge_tol``."""
+    cut = np.ones(lo.size + 1, dtype=bool)
+    cut[1:-1] = (lo[1:] > run[:-1] + merge_tol) | new
+    return cut
+
+
 @dataclass(frozen=True)
 class IntervalSet:
     """Finite union of closed intervals in canonical (sorted, disjoint) form."""
@@ -61,10 +70,26 @@ class IntervalSet:
         order = np.lexsort((hi, lo))
         lo, hi = lo[order], hi[order]
         run = np.maximum.accumulate(hi)
-        start = np.flatnonzero(np.concatenate(([True], lo[1:] > run[:-1] + merge_tol)))
+        start = np.flatnonzero(_cuts(lo, run, merge_tol)[:-1])
         # run only grows from one group to the next: first index reaching each group max
         top = np.searchsorted(run, np.maximum.reduceat(hi, start))
         return cls(tuple(zip(lo[start].tolist(), hi[top].tolist())))
+
+    @classmethod
+    def per_group(
+        cls, group: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int
+    ) -> list["IntervalSet"]:
+        """``from_pairs`` of the (lo, hi) rows of each group 0 .. n - 1 in one sweep, for
+        rows sorted by group with lo and hi strictly increasing in a group (the running
+        max hi is the previous hi); other rows are the builder's fault: ``RuntimeError``."""
+        same = group[1:] == group[:-1]
+        if not np.all(lo <= hi) or np.any(same & ((lo[1:] <= lo[:-1]) | (hi[1:] <= hi[:-1]))):
+            raise RuntimeError("a group's rows need lo <= hi, both strictly increasing")
+        cut = _cuts(lo, hi, MERGE_TOL, ~same)
+        first, last = np.flatnonzero(cut[:-1]), np.flatnonzero(cut[1:])
+        merged = list(zip(lo[first].tolist(), hi[last].tolist()))
+        bounds = np.searchsorted(group[first], np.arange(n + 1)).tolist()
+        return [cls(tuple(merged[a:b])) for a, b in zip(bounds, bounds[1:])]
 
     # -- queries -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .bands import spectrum_approximant
-from .intervals import MERGE_TOL, IntervalSet
+from .intervals import IntervalSet
 from .sl2 import _dist_mod_pi, cocycle_rows, cocycle_stack, svd_angles_stack
 from .words import Potential, ReturnStructure, SubshiftSpec, Word, return_structure
 
@@ -423,43 +423,26 @@ class ExclusionReport:
         return self.j_set.measure
 
 
+def _renumber(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of non-negative integer keys, the
+    inverse shaped as ``keys``, by a table up to the largest key, not a sort."""
+    seen = np.zeros(int(keys.max(initial=-1)) + 1, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), np.cumsum(seen)[keys] - 1
+
+
 def _distinct_core_probes(
     probes: np.ndarray, bracket: np.ndarray, ai: np.ndarray, bi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (core, energy) pairs that the edges k, each probing the
-    row probes[bracket[k]] for the triple (cores[ai[k]], cores[bi[k]], .),
-    evaluate over both roles.
-
-    Energies are keyed on their bits, so -0.0 and 0.0 stay apart and equal
-    NaNs merge.  Returns the core index and the energy of each pair, then the
-    (edges, probes per row) pair indices of each edge's alpha and beta roles.
-    """
-    n_rows, width = probes.shape
-    _, e_id = np.unique(probes.view(np.int64).ravel(), return_inverse=True)
-    # the distinct (core, row) pairs over both roles, then their energies
-    row_key, row_pair = np.unique(
-        np.concatenate((ai, bi)) * n_rows + np.tile(bracket, 2), return_inverse=True
-    )
-    row_core, row = np.divmod(row_key, n_rows)
-    keys = row_core[:, None] * probes.size + e_id.reshape(probes.shape)[row]
-    _, first, pair = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    pair = pair.reshape(keys.shape)[row_pair]
-    return np.repeat(row_core, width)[first], probes[row].ravel()[first], *np.split(pair, 2)
-
-
-def _triple_sets(tri: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) -> list[IntervalSet]:
-    """``IntervalSet.from_pairs`` of the (lo, hi) rows of each triple 0 .. n - 1
-    of a table sorted by triple, with lo and hi strictly increasing in a triple
-    (else ``ValueError``): a row joins its predecessor unless lo > hi + MERGE_TOL."""
-    same = tri[1:] == tri[:-1]
-    if not np.all(lo <= hi) or np.any(same & ((lo[1:] <= lo[:-1]) | (hi[1:] <= hi[:-1]))):
-        raise ValueError("a triple's rows need lo <= hi, both strictly increasing")
-    cut = np.ones(tri.size + 1, dtype=bool)
-    cut[1:-1] = ~same | (lo[1:] > hi[:-1] + MERGE_TOL)
-    first, last = np.flatnonzero(cut[:-1]), np.flatnonzero(cut[1:])
-    merged = list(zip(lo[first].tolist(), hi[last].tolist()))
-    bounds = np.searchsorted(tri[first], np.arange(n + 1)).tolist()
-    return [IntervalSet(tuple(merged[a:b])) for a, b in zip(bounds, bounds[1:])]
+    """The distinct (core, energy) pairs that the edges k, each probing the row
+    probes[bracket[k]] for the triple (cores[ai[k]], cores[bi[k]], .), evaluate
+    over both roles, energies keyed on their bits (-0.0 and 0.0 stay apart, equal
+    NaNs merge): the core index and energy of each pair, then the (edges, probes
+    per row) pair indices of each edge's alpha and beta roles."""
+    bits, e_id = np.unique(probes.view(np.int64).ravel(), return_inverse=True)
+    e_id = e_id.reshape(probes.shape)[bracket]
+    key, pair = _renumber(np.stack((ai[:, None], bi[:, None])) * bits.size + e_id)
+    return key // bits.size, bits.view(float)[key % bits.size], pair[0], pair[1]
 
 
 def exclusion_sets(
@@ -586,13 +569,8 @@ def exclusion_sets(
                 mats = np.stack(rows, axis=-1).reshape(sel.size, 2, 2)
                 u[sel], s[sel], _, h[sel] = frames_of(mats, n_letters)
         u_a, s_b, hyp = u[alpha_pair], s[beta_pair], h[alpha_pair] & h[beta_pair]
-        cpow = np.empty((*alpha_pair.shape, 2, 2))
-        for k, j in enumerate(runs):
-            use = ji == k
-            if use.any():
-                rows, row_of = np.unique(bracket[use], return_inverse=True)
-                mats = cocycle_stack(structure.alpha0 * j, probes[rows].ravel(), pot)
-                cpow[use] = mats.reshape(rows.size, -1, 2, 2)[row_of]
+        marker = [cocycle_stack(structure.alpha0 * j, probes.ravel(), pot) for j in runs]
+        cpow = np.reshape(marker, (len(runs), *probes.shape, 2, 2))[ji, bracket]
         phi = theta_of(u_a, cpow) + (PI / 2 - s_b)
         return np.where(hyp, _dist_mod_pi(phi, PI / 2) <= kappa, True)
 
@@ -681,9 +659,7 @@ def exclusion_sets(
     # and its probe, inside or not, leads to child 2n + 1 = (f, probe) or
     # 2n + 2 = (probe, t); the leaves reached are the next pass's brackets.
     left, right = starts > 0, ends < grid - 1
-    step_side, bracket = np.unique(
-        np.concatenate((2 * starts[left] - 2, 2 * ends[right] + 1)), return_inverse=True
-    )
+    step_side, bracket = _renumber(np.concatenate((2 * starts[left] - 2, 2 * ends[right] + 1)))
     step, side = np.divmod(step_side, 2)  # a right edge's f lies above its t
     f, t = grid_pts[step + side], grid_pts[step + 1 - side]
     keys = np.array(np.unravel_index(np.concatenate((tri[left], tri[right])), shape))
@@ -703,7 +679,7 @@ def exclusion_sets(
         node, edge = np.zeros(bracket.size, dtype=int), np.arange(bracket.size)
         for _ in range(depth):
             node = 2 * node + 2 - inside[edge, node]
-        leaf, bracket = np.unique(bracket * fs.shape[1] + node, return_inverse=True)
+        leaf, bracket = _renumber(bracket * fs.shape[1] + node)
         f, t = fs.ravel()[leaf], ts.ravel()[leaf]
 
     lo_pts, hi_pts = grid_pts[starts], grid_pts[ends]
@@ -713,7 +689,7 @@ def exclusion_sets(
         TripleExclusion(alpha, beta, j, intervals, c1_k, c5_k)
         for (alpha, beta, j), intervals, c1_k, c5_k in zip(
             itertools.product(cores, cores, runs),
-            _triple_sets(tri, lo_pts, hi_pts, c1.size), c1_all, c5_all,
+            IntervalSet.per_group(tri, lo_pts, hi_pts, c1.size), c1_all, c5_all,
         )
     ]
     # Python's min and max fold in (alpha, beta, j) order from inf and 0.0

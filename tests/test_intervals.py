@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -170,3 +171,71 @@ def test_difference_with_empty_is_identity(x):
     got = x.difference(IntervalSet.empty())
     assert got == x
     assert endpoint_reprs(got.intervals) == endpoint_reprs(x.intervals)
+
+
+def _per_group_reference(group, lo, hi, n):
+    """The reference: from_pairs on each group's rows."""
+    return [
+        IntervalSet.from_pairs([(a, b) for t, a, b in zip(group, lo, hi) if t == k])
+        for k in range(n)
+    ]
+
+
+def _random_component_table(gen, grid_pts, n_triples):
+    """Components of each triple as grid runs with outside points between
+    them.  Bisection leaves an edge in its outside grid step, on the outside
+    point itself when every probe was inside, so that two components one
+    outside point apart touch."""
+
+    def edge(outside, inside):
+        return outside + gen.choice([0.0, gen.random()]) * (inside - outside)
+
+    tri, lo, hi = [], [], []
+    for k in range(n_triples):
+        inside = gen.random(grid_pts.size) < gen.choice([0.0, 0.3, 0.7, 1.0])
+        cols = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(int), [0]))))
+        for start, stop in zip(cols[::2], cols[1::2]):
+            a, b = grid_pts[start], grid_pts[stop - 1]
+            tri.append(k)
+            lo.append(edge(grid_pts[start - 1], a) if start > 0 else a)
+            hi.append(edge(grid_pts[stop], b) if stop < grid_pts.size else b)
+    return np.array(tri, dtype=int), np.array(lo), np.array(hi)
+
+
+def test_per_group_equals_from_pairs_per_group():
+    g = np.linspace(-3.0, 3.0, 17)
+    rows = [
+        (0, g[0], g[2]),  # a component at grid index 0
+        (0, g[4], g[6]),
+        (0, g[10], g[16]),  # and at grid index 16 = grid - 1
+        (1, g[3], g[5]),
+        (1, g[5], g[6]),  # touching: hi == lo
+        (1, g[7] + 0.25 * (g[8] - g[7]), g[9]),
+        (3, -0.5, 0.5),
+        (3, 0.5 + 0.5 * MERGE_TOL, 0.75),  # within MERGE_TOL
+        (3, 0.75 + 4 * MERGE_TOL, 1.0),  # beyond it
+    ]
+    group, lo, hi = (np.array(col) for col in zip(*rows))
+    want = _per_group_reference(group, lo, hi, 5)
+    assert IntervalSet.per_group(group, lo, hi, 5) == want  # groups 2 and 4 empty
+    assert [len(s) for s in want] == [3, 2, 0, 2, 0]
+    empty = np.array([], dtype=int), np.array([]), np.array([])
+    assert IntervalSet.per_group(*empty, 3) == [IntervalSet.empty()] * 3
+    assert IntervalSet.per_group(*empty, 0) == []
+    gen, merges = np.random.default_rng(20), 0
+    for _ in range(200):
+        table = _random_component_table(gen, g, 4)
+        got = IntervalSet.per_group(*table, 4)
+        assert got == _per_group_reference(*table, 4)
+        merges += table[0].size - sum(len(s) for s in got)
+    assert merges > 0
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [([0.0, -1.0], [1.0, 2.0]), ([0.0, 0.5], [2.0, 1.0]), ([0.0, 2.0], [1.0, 1.5])],
+    ids=["lo_decreasing", "hi_decreasing", "lo_above_hi"],
+)
+def test_per_group_rejects_unordered_table(lo, hi):
+    with pytest.raises(RuntimeError, match="strictly increasing"):
+        IntervalSet.per_group(np.array([0, 0]), np.array(lo), np.array(hi), 1)

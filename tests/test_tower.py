@@ -611,75 +611,6 @@ def test_bisection_evaluates_each_distinct_core_probe_once(abc_structure, monkey
     assert all(b < e for b, e in zip(brackets, edges)) and brackets
 
 
-def _per_triple_sets(tri, lo, hi, n_triples):
-    """The reference: from_pairs on each triple's rows."""
-    return [
-        IntervalSet.from_pairs([(a, b) for t, a, b in zip(tri, lo, hi) if t == k])
-        for k in range(n_triples)
-    ]
-
-
-def _random_component_table(gen, grid_pts, n_triples):
-    """Components of each triple as grid runs with outside points between
-    them.  Bisection leaves an edge in its outside grid step, on the outside
-    point itself when every probe was inside, so that two components one
-    outside point apart touch."""
-
-    def edge(outside, inside):
-        return outside + gen.choice([0.0, gen.random()]) * (inside - outside)
-
-    tri, lo, hi = [], [], []
-    for k in range(n_triples):
-        inside = gen.random(grid_pts.size) < gen.choice([0.0, 0.3, 0.7, 1.0])
-        cols = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(int), [0]))))
-        for start, stop in zip(cols[::2], cols[1::2]):
-            a, b = grid_pts[start], grid_pts[stop - 1]
-            tri.append(k)
-            lo.append(edge(grid_pts[start - 1], a) if start > 0 else a)
-            hi.append(edge(grid_pts[stop], b) if stop < grid_pts.size else b)
-    return np.array(tri, dtype=int), np.array(lo), np.array(hi)
-
-
-def test_one_pass_merge_equals_from_pairs_per_triple():
-    g = np.linspace(-3.0, 3.0, 17)
-    tol = tower_module.MERGE_TOL
-    rows = [
-        (0, g[0], g[2]),  # a component at grid index 0
-        (0, g[4], g[6]),
-        (0, g[10], g[16]),  # and at grid index 16 = grid - 1
-        (1, g[3], g[5]),
-        (1, g[5], g[6]),  # touching: hi == lo
-        (1, g[7] + 0.25 * (g[8] - g[7]), g[9]),
-        (3, -0.5, 0.5),
-        (3, 0.5 + 0.5 * tol, 0.75),  # within MERGE_TOL
-        (3, 0.75 + 4 * tol, 1.0),  # beyond it
-    ]
-    tri, lo, hi = (np.array(col) for col in zip(*rows))
-    want = _per_triple_sets(tri, lo, hi, 5)
-    assert tower_module._triple_sets(tri, lo, hi, 5) == want  # triples 2 and 4 empty
-    assert [len(s) for s in want] == [3, 2, 0, 2, 0]
-    empty = np.array([], dtype=int), np.array([]), np.array([])
-    assert tower_module._triple_sets(*empty, 3) == [IntervalSet.empty()] * 3
-    assert tower_module._triple_sets(*empty, 0) == []
-    gen, merges = np.random.default_rng(20), 0
-    for _ in range(200):
-        table = _random_component_table(gen, g, 4)
-        got = tower_module._triple_sets(*table, 4)
-        assert got == _per_triple_sets(*table, 4)
-        merges += table[0].size - sum(len(s) for s in got)
-    assert merges > 0
-
-
-@pytest.mark.parametrize(
-    "lo, hi",
-    [([0.0, -1.0], [1.0, 2.0]), ([0.0, 0.5], [2.0, 1.0]), ([0.0, 2.0], [1.0, 1.5])],
-    ids=["lo_decreasing", "hi_decreasing", "lo_above_hi"],
-)
-def test_one_pass_merge_rejects_unordered_table(lo, hi):
-    with pytest.raises(ValueError, match="strictly increasing"):
-        tower_module._triple_sets(np.array([0, 0]), np.array(lo), np.array(hi), 1)
-
-
 def test_probe_overflow_raises(abc_structure, monkeypatch):
     def overflowed(xs, shape):
         a, b, c, d = cocycle_rows(xs, shape)
