@@ -202,11 +202,12 @@ SECTION_KEYS = {
 }
 
 
-def _string(value) -> str:
-    """Converter of a JSON string; any other value is rejected."""
-    if not isinstance(value, str):
-        raise TypeError("not a string")
-    return value
+def _as(kind, value):
+    """``kind(value)``, where ``str`` takes only a JSON string, ``int`` only a
+    JSON integer and ``float`` only a JSON number: nothing is coerced."""
+    if kind in (int, float, str) and type(value) not in (kind, int if kind is float else kind):
+        raise TypeError(f"not {kind.__name__}")
+    return kind(value)
 
 
 def _list_of(kind):
@@ -215,7 +216,7 @@ def _list_of(kind):
     def convert(value):
         if not isinstance(value, list):
             raise TypeError("not a list")
-        return [kind(x) for x in value]
+        return [_as(kind, x) for x in value]
 
     return convert
 
@@ -263,12 +264,13 @@ class RunConfig:
         """``kind(value)`` of the value at ``key`` or ``section.key``, or of
         ``default`` when it is absent; a value ``kind`` rejects is a
         ``ConfigError`` that names the key."""
-        *section, key = path.split(".")
+        *section, key = path.split(".", 1)
         value = (self.raw.get(section[0], {}) if section else self.raw).get(key, default)
         try:
-            return kind(value)
+            return _as(kind, value)
         except (TypeError, ValueError, OverflowError) as exc:
             problem = "is missing or null" if value is None else f"has the wrong type: {value!r}"
+            problem = f"is out of range: {exc}" if isinstance(exc, OverflowError) else problem
             raise ConfigError(f"config value {path!r} {problem}") from exc
 
     def section(self, name: str) -> dict:
@@ -282,7 +284,7 @@ class RunConfig:
         if not isinstance(sec, dict) or not sec:
             raise ConfigError("config needs a 'potential' object of letter -> value")
         try:
-            return Potential({str(k): float(v) for k, v in sec.items()})
+            return Potential({str(k): self.get(f"potential.{k}", float) for k in sec})
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -402,7 +404,7 @@ def _run_words(cfg: RunConfig, out: Path, log) -> int:
     lengths = cfg.get("words.complexity_lengths", _list_of(int), [1, 2, 4, 8, 16])
     alphabet = sec.get("alphabet")
     if alphabet is not None:
-        alphabet = cfg.get("words.alphabet", _list_of(_string))
+        alphabet = cfg.get("words.alphabet", _list_of(str))
     # compute everything before writing, so a rejected length leaves no artifact
     sample = sample_word(spec, sample_len)
     rows = [[n, complexity(spec, n, sample_len)] for n in lengths]
@@ -416,7 +418,7 @@ def _run_words(cfg: RunConfig, out: Path, log) -> int:
 
 def _run_spectrum(cfg: RunConfig, out: Path, log) -> int:
     cfg.section("spectrum")
-    word = cfg.get("spectrum.word", _string, "")
+    word = cfg.get("spectrum.word", str, "")
     if not word:
         raise ConfigError("spectrum.word is required")
     pot = cfg.potential()
@@ -442,7 +444,7 @@ def _read_set(sec: dict, key: str) -> IntervalSet:
 
 def _run_measure(cfg: RunConfig, out: Path, log) -> int:
     sec = cfg.section("measure")
-    op = cfg.get("measure.op", _string, "")
+    op = cfg.get("measure.op", str, "")
     x = _read_set(sec, "x")
     y = sec.get("y")
     if op in ("union", "intersect", "difference", "subset"):
@@ -471,7 +473,7 @@ def _run_decay(cfg: RunConfig, out: Path, log) -> int:
         v_base,
         cfg.get("decay.lam_list", _list_of(float)),
         cfg.get("decay.factor_len", int, 13),
-        cfg.get("decay.e0_letter", _string, "a"),
+        cfg.get("decay.e0_letter", str, "a"),
         float(cfg.consts.H),
         cfg.get("decay.sample_len", int, 4096),
     )
@@ -549,7 +551,7 @@ def _tower_result(cfg: RunConfig) -> TowerResult:
     return tower_pipeline(
         cfg.subshift(),
         cfg.potential(),
-        cfg.get("tower.alpha0", _string, "a"),
+        cfg.get("tower.alpha0", str, "a"),
         gamma=cfg.gamma,
         gamma_prime=cfg.gamma_prime,
         c=cfg.c,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bands import periodic_bands
 from .intervals import IntervalSet
-from .sl2 import _angle_mod_pi, _dist_mod_pi, svd_angles_stack
+from .sl2 import _dist_mod_pi, svd_angles_stack
 from .words import (
     AdzStages,
     Potential,
@@ -373,7 +373,7 @@ def scaled_product_suite(
     d10 = sa * m * cb + ca / m * sb
     d11 = -sa * m * sb + ca / m * cb
 
-    angle = _dist_mod_pi(_angle_mod_pi(np.arctan2(d10, d00)), math.pi / 2)
+    angle = _dist_mod_pi(np.arctan2(d10, d00) % math.pi, math.pi / 2)
     floor_angle = floors**-0.25
     keep = angle > floor_angle
     kappa = floor_angle + kappa_draw * (angle - floor_angle)

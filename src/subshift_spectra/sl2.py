@@ -185,25 +185,6 @@ def _dist_mod_pi(
     return np.minimum(m, np.subtract(PI, m, out=tmp), out=out)
 
 
-def _angle_mod_pi(
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """``x % pi`` bit for bit for x in arctan2's range [-pi, pi] (and NaN).
-
-    The fold adds pi to negative entries and takes pi off an entry equal to
-    pi, so -0.0 and pi map to +0.0 and a negative x too small to survive the
-    addition maps to pi, as ``%`` does.  ``out`` (it may be ``x``) and
-    ``work`` are as for ``_dist_mod_pi``.
-    """
-    tmp, mask = (None, None) if work is None else work
-    at_pi = np.greater_equal(x, PI, out=mask)
-    y = np.add(x, np.multiply(PI, np.less(x, 0.0, out=tmp), out=tmp), out=out)
-    y[at_pi] -= PI
-    return y
-
-
 # ---------------------------------------------------------------------------
 # Rotation-dilation-rotation split
 
@@ -269,7 +250,9 @@ def svd_angles_stack(
 
     Returns ``(u, s, log_lam, hyperbolic)``; angle entries of non-hyperbolic
     matrices are NaN.  Entries are rescaled before the quadratic forms, so
-    norms up to ~1e150 stay finite.
+    every finite norm gives finite results.  The det = 1 term 2 / scale^2
+    squares the scale capped at 2^511: above it t >= 1 and t +- 2 / scale^2
+    rounds to t either way, so the cap changes no bit and cannot overflow.
     """
     a = mats[..., 0, 0]
     b = mats[..., 0, 1]
@@ -279,7 +262,8 @@ def svd_angles_stack(
     scale = np.where(scale == 0.0, 1.0, scale)
     an, bn, cn, dn = a / scale, b / scale, c / scale, d / scale
     t = an * an + bn * bn + cn * cn + dn * dn
-    inv2 = 2.0 / (scale * scale)  # 2 / scale^2, exact det = 1 assumed
+    capped = np.minimum(scale, 2.0**511)
+    inv2 = 2.0 / (capped * capped)  # 2 / scale^2, exact det = 1 assumed
     root = 0.5 * (np.sqrt(t + inv2) + np.sqrt(np.maximum(t - inv2, 0.0)))
     log_lam = np.log(scale) + np.log(root)
     hyperbolic = log_lam > math.log1p(hyper_tol)

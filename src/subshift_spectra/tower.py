@@ -445,6 +445,41 @@ def _distinct_core_probes(
     return key // bits.size, bits.view(float)[key % bits.size], pair[0], pair[1]
 
 
+def core_cocycles(cores: Sequence[Word], pot: Potential, level: int):
+    """``evaluate(core, energy)``: the (k, m, 2, 2) cocycles of the level-``level``
+    cores cores[core[i]] at energy[i], for k core indices and (k, m) energies
+    ((m,) when shared), bit for bit what ``cocycle_stack`` gives; the cores of
+    one length take one ``cocycle_rows`` recurrence.  A non-finite entry, from
+    float64 overflow on long cores, raises ``CocycleOverflowError`` without
+    numpy's overflow warnings: its frames would say nothing."""
+    length = np.array([len(w) for w in cores])
+    # per core length n, the (n, cores) table of v(i-th letter), 0 for other lengths
+    tables = {
+        n: np.array([[pot.value(w[i]) if len(w) == n else 0.0 for w in cores] for i in range(n)])
+        for n in dict.fromkeys(length.tolist())
+    }
+
+    def evaluate(core: np.ndarray, energy: np.ndarray) -> np.ndarray:
+        energy = np.broadcast_to(energy, (core.size, np.shape(energy)[-1]))
+        out = np.empty((*energy.shape, 2, 2))
+        for n_letters, values in tables.items():
+            sel = np.flatnonzero(length[core] == n_letters)
+            if sel.size:
+                e, k = energy[sel], core[sel, None]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rows = cocycle_rows((e - v[k] for v in values), e.shape)
+                mats = out[sel] = np.stack(rows, axis=-1).reshape(*e.shape, 2, 2)
+                bad = ~np.isfinite(mats).all(axis=(-2, -1))
+                if bad.any():
+                    raise CocycleOverflowError(
+                        f"level-{level} core cocycle of {n_letters} letters is not finite "
+                        f"at {int(bad.sum())} of {bad.size} energies (float64 overflow)"
+                    )
+        return out
+
+    return evaluate
+
+
 def exclusion_sets(
     structure: ReturnStructure,
     level: int,
@@ -480,18 +515,19 @@ def exclusion_sets(
     (triple index, first and last grid point) per component, stably sorted by
     triple index into (alpha, beta, j) order and checked against the component
     cap before any bisection.  Every edge brackets one grid step, its last
-    point inside and first point outside, so all edges run the
+    point inside and first point outside, and runs the
     ceil(log2(largest step / refine_tol)) rounds of the largest step: linspace
-    steps differ only in their last bits, so an edge takes at most one round
-    more than its own step needs, tighter and never looser.  A bracket is a
-    function of its grid step and side, later of its parent bracket and the
-    leaf reached, so each distinct bracket is refined once for all the edges
-    on it.  The rounds go ``BISECT_DEPTH`` at a time: one pass takes every
-    midpoint the next rounds could visit in each bracket, evaluates each
-    distinct (core, energy) pair of the edges' probes once over both roles
-    (alpha gives u, beta gives s), in one cocycle recurrence and one split per
-    core length, and each marker power once per run length and bracket, and
-    then takes those rounds.  Each probe is the float a one-round loop would
+    steps differ only in their last bits, so that is at most one round more
+    than its own step needs.  A bracket is a function of its grid step and
+    side, later of its parent bracket and the leaf reached, so each distinct
+    bracket is refined once for all its edges.  The rounds go
+    ``BISECT_DEPTH`` at a time: one pass takes every midpoint the next rounds
+    could visit in each bracket, and each distinct (core, energy) pair of the
+    edges' probes once over both roles (alpha gives u, beta gives s).  The
+    scan's frames and each pass's pairs come from one evaluator,
+    ``core_cocycles``, so both see the same floats, and a core cocycle that
+    overflows raises ``CocycleOverflowError`` there; marker powers come from
+    ``cocycle_stack``.  Each probe is the float a one-round loop would
     compute, so the endpoints depend neither on the depth nor on the sharing,
     and a triple's components stay in grid order, so one pass over the table
     merges the touching ones.  Recorded endpoints sit on the outside of each
@@ -499,10 +535,7 @@ def exclusion_sets(
     entirely between grid points are missed, which is the documented grid
     resolution limit.  Energies where either core's cocycle is rotation-like
     are folded into the exclusion (tangency is then undefined but
-    hyperbolicity fails, which is exactly what exclusion must cover).  A core
-    cocycle with a non-finite entry, from float64 overflow on long cores,
-    raises ``CocycleOverflowError`` instead, without numpy overflow warnings:
-    its frames say nothing.
+    hyperbolicity fails, which is exactly what exclusion must cover).
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
@@ -514,35 +547,7 @@ def exclusion_sets(
 
     lv = structure.level(level)
     cores, runs = lv.cores, lv.runs
-
-    def frames_of(mats: np.ndarray, n_letters: int):
-        """Split a stack of core cocycles; raise on an overflowed entry."""
-        bad = ~np.isfinite(mats).all(axis=(-2, -1))
-        if bad.any():
-            raise CocycleOverflowError(
-                f"level-{level} core cocycle of {n_letters} letters is not finite at "
-                f"{int(bad.sum())} of {bad.size} energies (float64 overflow)"
-            )
-        return svd_angles_stack(mats)
-
-    # long core cocycles may overflow: frames_of raises on them, so numpy's
-    # overflow warnings would only repeat its error
-    def core_frames(core: Word, energies: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            mats = cocycle_stack(core, energies, pot)
-        return frames_of(mats, len(core))
-
-    # letter values v(letter) of every core, one (letters, cores) table per
-    # core length
-    core_length = np.array([len(core) for core in cores])
-    table_col = np.empty(len(cores), dtype=int)  # column of each core in its table
-    tables = {}
-    for n_letters in dict.fromkeys(core_length.tolist()):
-        ks = np.flatnonzero(core_length == n_letters)
-        table_col[ks] = np.arange(ks.size)
-        tables[n_letters] = np.array(
-            [[pot.value(cores[k][i]) for k in ks] for i in range(n_letters)]
-        )
+    evaluate = core_cocycles(cores, pot, level)
 
     def theta_of(u: np.ndarray, cpow: np.ndarray) -> np.ndarray:
         """Raw projective angle of the alpha frame e^(iu) pushed through the
@@ -559,15 +564,7 @@ def exclusion_sets(
         probes[bracket[k]] for the triple (cores[ai[k]], cores[bi[k]], runs[ji[k]])."""
         # each distinct (core, energy) pair once, one recurrence per core length
         core, energy, alpha_pair, beta_pair = _distinct_core_probes(probes, bracket, ai, bi)
-        u, s, h = np.empty(energy.size), np.empty(energy.size), np.empty(energy.size, dtype=bool)
-        for n_letters, values in tables.items():
-            sel = np.flatnonzero(core_length[core] == n_letters)
-            if sel.size:
-                pair_e, col = energy[sel], table_col[core[sel]]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    rows = cocycle_rows((pair_e - v[col] for v in values), sel.size)
-                mats = np.stack(rows, axis=-1).reshape(sel.size, 2, 2)
-                u[sel], s[sel], _, h[sel] = frames_of(mats, n_letters)
+        u, s, _, h = svd_angles_stack(evaluate(core, energy[:, None])[:, 0])
         u_a, s_b, hyp = u[alpha_pair], s[beta_pair], h[alpha_pair] & h[beta_pair]
         marker = [cocycle_stack(structure.alpha0 * j, probes.ravel(), pot) for j in runs]
         cpow = np.reshape(marker, (len(runs), *probes.shape, 2, 2))[ji, bracket]
@@ -576,13 +573,11 @@ def exclusion_sets(
 
     n_cores, n_runs = len(cores), len(runs)
     grid_pts = np.linspace(lo, hi, grid)
-    frames = [core_frames(core, grid_pts) for core in cores]
+    u_all, s_all, _, hyp = svd_angles_stack(evaluate(np.arange(n_cores), grid_pts))
     cpows = [cocycle_stack(structure.alpha0 * j, grid_pts, pot) for j in runs]
     frame_delta = 1e-4  # probe size for the empirical frame-angle sensitivity
-    hyp = np.array([h for *_, h in frames])
     # (cores, grid) rotation angle pi/2 - s of every beta core, and its
     # change when s shifts by frame_delta: the s-part of c5
-    s_all = np.array([s for _, s, _, _ in frames])
     rot = PI / 2 - s_all
     d_s = _dist_mod_pi(PI / 2 - (s_all + frame_delta), rot)
     de = grid_pts[1] - grid_pts[0]
@@ -637,7 +632,7 @@ def exclusion_sets(
         c5_s = np.max(np.where(not_both, 0.0, d_s), axis=1)
         for ji, cpow in enumerate(cpows):
             rows, starts, ends, c1[ai, :, ji], c5[ai, :, ji] = scan(
-                frames[ai][0], not_both, invalid, c5_s, cpow
+                u_all[ai], not_both, invalid, c5_s, cpow
             )
             table.append(np.stack(((ai * n_cores + rows) * n_runs + ji, starts, ends)))
     # a stable sort keeps each triple's components in grid order
@@ -876,8 +871,8 @@ def acceleration_verify(
     """Check the accelerated-cocycle growth and frame-drift claims at ``level``.
 
     The energy grid must avoid the cumulative exclusion sets up to ``level``;
-    violations show up as hyperbolicity flags rather than exceptions, which
-    signals an under-refined exclusion set.
+    violations show up as hyperbolicity flags, signalling an under-refined
+    exclusion set.  An overflowing core raises ``CocycleOverflowError``.
     """
     if level + 1 >= len(sched.levels):
         raise ScheduleError(f"schedule must be advanced past level {level}")
@@ -886,7 +881,7 @@ def acceleration_verify(
     lvl = structure.level(level)
     cores, runs = lvl.cores, lvl.runs
     return verify_windows(
-        np.array([cocycle_stack(core, energies, pot) for core in cores]),
+        core_cocycles(cores, pot, level)(np.arange(len(cores)), energies),
         np.array([cocycle_stack(structure.alpha0 * j, energies, pot) for j in runs]),
         [(cores.index(e.core), runs.index(e.run), e.length) for e in lvl.entries],
         level=level,

@@ -412,6 +412,36 @@ def test_config_mistake_is_one_line_exit_2(tmp_path, capsys, command, key, value
     assert not list((tmp_path / "o").rglob("*"))  # no artifact
 
 
+WRONG_NUMBER_TYPES = [
+    ("grid", 2049.9),
+    ("seed", True),
+    ("gamma", "0.1"),
+    ("grid", "2049"),
+    ("H", "inf"),
+    ("refine_tol", "nan"),
+    ("potential.b", "200"),
+    ("suite.lam_floors", [1000.0, True]),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", WRONG_NUMBER_TYPES, ids=[f"{k}={v!r}" for k, v in WRONG_NUMBER_TYPES]
+)
+def test_config_number_of_wrong_type_is_rejected(tmp_path, capsys, key, value):
+    # an integer key takes only a JSON integer and a float key only a JSON
+    # number: a bool, a float for an integer or a string is named, not coerced
+    payload = json.loads((CONFIGS / "acceptance_verify_lam200.json").read_text())
+    *section, name = key.split(".")
+    (payload[section[0]] if section else payload)[name] = value
+    cfg_path = write_config(tmp_path, payload)
+    code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: config value '{key}' has the wrong type")
+    assert not list((tmp_path / "o").rglob("*"))  # no artifact
+
+
 COUPLING_TOO_SMALL = [
     ({"subshift": {**FIBONACCI_SPEC, "rules": {"a": "ab", "b": "aa"}}}, "chi_1 = -0.651196 <= 0"),
     ({"potential": {"a": 0.0, "b": 5.0}}, "need lam > 2*cone_gap = 6.0, got lam=5.0"),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from subshift_spectra import Mat2, Potential, cocycle_product, transfer_matrix
 from subshift_spectra.sl2 import (
     DegenerateAngleError,
-    _angle_mod_pi,
     _dist_mod_pi,
     EllipticError,
     PI,
@@ -196,6 +195,22 @@ def test_svd_angles_stack_round_trip(params):
         assert abs(log_lam[k] - split.log_lam) <= 1e-12
 
 
+@pytest.mark.parametrize("log10_norm", [200.0, 300.0, 154.2])
+def test_svd_angles_stack_finite_past_squared_scale_overflow(log10_norm):
+    # the scale's square overflows from a norm of about 1.34e154; the split
+    # stays finite and warning-free (pytest makes warnings errors) up to 1e300
+    lam = 10.0**log10_norm
+    mats = np.stack([
+        (Mat2.rotation(a) @ Mat2.diagonal(lam) @ Mat2.rotation(PI / 2 - b)).as_array()
+        for a, b in [(0.3, 1.1), (-1.2, -2.9), (1.5, 0.0)]
+    ])
+    u, s, log_lam, hyp = svd_angles_stack(mats)
+    assert hyp.all() and np.isfinite(log_lam).all()
+    assert np.allclose(log_lam, math.log(lam), rtol=1e-15, atol=0.0)
+    for k, (a, b) in enumerate([(0.3, 1.1), (-1.2, -2.9), (1.5, 0.0)]):
+        assert proj_dist(u[k], a) <= 1e-12 and proj_dist(s[k], b) <= 1e-12
+
+
 def test_proj_dist_examples():
     assert proj_dist(0.0, 0.0) == 0.0
     assert proj_dist(0.0, PI) == 0.0
@@ -246,24 +261,6 @@ def _column_views(x: np.ndarray):
     pad[:, 1:] = rows
     tmp, mask = _work((2, x.size + 1))
     return rows, pad[:, 1:], np.empty((2, x.size + 1))[:, 1:], (tmp[:, 1:], mask[:, 1:])
-
-
-@_PROPS
-@given(st.lists(st.one_of(st.sampled_from(_ANGLE_EDGES), st.floats(-PI, PI)), max_size=40))
-def test_angle_mod_pi_bit_equal_to_remainder(xs):
-    x = np.array(_ANGLE_EDGES + xs)
-    want = _bits(x % PI)
-    assert np.array_equal(_bits(_angle_mod_pi(x)), want)
-    # into a separate out, into x itself, and on column-sliced views
-    out = np.empty_like(x)
-    assert _angle_mod_pi(x, out=out, work=_work(x.shape)) is out
-    assert np.array_equal(_bits(out), want)
-    y = x.copy()
-    assert _angle_mod_pi(y, out=y, work=_work(x.shape)) is y
-    assert np.array_equal(_bits(y), want)
-    rows, view, out, work = _column_views(x)
-    assert np.array_equal(_bits(_angle_mod_pi(view, out=out, work=work)), _bits(rows % PI))
-    assert np.array_equal(_bits(_angle_mod_pi(view, out=view, work=work)), _bits(rows % PI))
 
 
 _dist_value = st.one_of(

@@ -482,24 +482,40 @@ def test_added_angle_equals_rotated_angle(a, r, t, wrap):
 
 
 def _count_cocycle_calls(monkeypatch):
-    calls = []
+    """Record the marker powers (``cocycle_stack``, by word length) and the
+    core recurrences (``cocycle_rows``, by array shape) of the tower module."""
+    markers, recurrences = [], []
 
     def counted(word, energies, pot):
-        calls.append(len(word))
+        markers.append(len(word))
         return cocycle_stack(word, energies, pot)
 
+    def counted_rows(xs, shape):
+        recurrences.append(shape)
+        return cocycle_rows(xs, shape)
+
     monkeypatch.setattr(tower_module, "cocycle_stack", counted)
-    return calls
+    monkeypatch.setattr(tower_module, "cocycle_rows", counted_rows)
+    return markers, recurrences
+
+
+def _scan_recurrences(cores, grid):
+    """The shapes of the grid scan's core recurrences: one per core length,
+    over every core of that length and the grid."""
+    lengths = [len(core) for core in cores]
+    return [(lengths.count(n), grid) for n in dict.fromkeys(lengths)]
 
 
 def test_batched_exclusion_call_count(abc_structure, monkeypatch):
-    calls = _count_cocycle_calls(monkeypatch)
+    markers, recurrences = _count_cocycle_calls(monkeypatch)
     grid, tol = 257, 1e-6
     rep = exclusion_sets(abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), grid, tol)
     assert len(rep.triples) == 18 and sum(len(t.intervals) for t in rep.triples) > 36
     lv = abc_structure.level(0)
     rounds = math.ceil(math.log2(6.0 / (grid - 1) / tol))
-    assert len(calls) <= (len(lv.cores) + len(lv.runs)) * (rounds + 1)
+    scan = _scan_recurrences(lv.cores, grid)
+    assert recurrences[: len(scan)] == scan
+    assert len(markers) + len(recurrences) <= (len(lv.cores) + len(lv.runs)) * (rounds + 1)
 
 
 @pytest.mark.parametrize(
@@ -523,17 +539,19 @@ def test_multi_round_bisection_remainder_equals_per_triple(
     assert (len(set(steps.tolist())) > 1) == (interval[0] == -2.9)
     tol = (interval[1] - interval[0]) / 256 / 2 ** (rounds - 0.5)
     assert {math.ceil(math.log2(x / tol)) for x in steps.tolist()} == {rounds} and rounds % depth
-    calls = _count_cocycle_calls(monkeypatch)
+    markers, recurrences = _count_cocycle_calls(monkeypatch)
     rep = exclusion_sets(abc_structure, 0, ABC_POT, 1.0, interval, 257, tol)
     lv = abc_structure.level(0)
-    assert len(calls) <= (len(lv.cores) + len(lv.runs)) * (math.ceil(rounds / depth) + 1)
+    assert len(markers) + len(recurrences) <= (len(lv.cores) + len(lv.runs)) * (
+        math.ceil(rounds / depth) + 1
+    )
     ref = _reference_triple_exclusions(abc_structure, ABC_POT, 1.0, interval, 257, tol)
     assert [(t.alpha, t.beta, t.j, t.intervals) for t in rep.triples] == ref
     assert sum(len(t.intervals) for t in rep.triples) > 2 * len(rep.triples)
 
 
 def test_component_cap_raised_before_bisection(abc_structure, monkeypatch):
-    calls = _count_cocycle_calls(monkeypatch)
+    markers, recurrences = _count_cocycle_calls(monkeypatch)
     lv = abc_structure.level(0)
     with pytest.raises(
         RuntimeError, match=r"triple \('bcb', 'bcb', 1\) produced 3 components, above cap 2"
@@ -542,8 +560,10 @@ def test_component_cap_raised_before_bisection(abc_structure, monkeypatch):
             abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), 257, 1e-6,
             Constants(triple_component_cap=2),
         )
-    # only the grid scan ran: one call per core and one per marker run
-    assert len(calls) == len(lv.cores) + len(lv.runs)
+    # only the grid scan ran: one marker power per marker run and one core
+    # recurrence per core length, over the grid
+    assert len(markers) == len(lv.runs)
+    assert recurrences == _scan_recurrences(lv.cores, 257)
 
 
 def test_component_cap_names_first_triple_in_alpha_beta_j_order(abc_structure):
@@ -603,24 +623,58 @@ def test_bisection_evaluates_each_distinct_core_probe_once(abc_structure, monkey
     monkeypatch.setattr(tower_module, "cocycle_rows", counted)
     rep = exclusion_sets(abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), 257, 1e-6)
     assert sum(len(t.intervals) for t in rep.triples) > 2 * len(rep.triples)
+    # the grid scan's recurrences come first, one per core length
+    scan = _scan_recurrences(abc_structure.level(0).cores, 257)
+    assert evaluated[: len(scan)] == scan
+    evaluated = evaluated[len(scan) :]
     # one recurrence per pass and core length covers exactly the distinct pairs
-    assert sum(evaluated) == sum(pairs) < sum(roles)
-    n_lengths = len({len(core) for core in abc_structure.level(0).cores})
-    assert len(pairs) <= len(evaluated) <= n_lengths * len(pairs)
+    assert sum(math.prod(shape) for shape in evaluated) == sum(pairs) < sum(roles)
+    assert len(pairs) <= len(evaluated) <= len(scan) * len(pairs)
     # edges of different triples share brackets
     assert all(b < e for b, e in zip(brackets, edges)) and brackets
 
 
 def test_probe_overflow_raises(abc_structure, monkeypatch):
+    # the grid scan's recurrences stay finite; the bisection's overflow
+    n_scan = len(_scan_recurrences(abc_structure.level(0).cores, 257))
+    calls = []
+
     def overflowed(xs, shape):
         a, b, c, d = cocycle_rows(xs, shape)
-        a[0] = np.inf
+        calls.append(shape)
+        if len(calls) > n_scan:
+            a[(0,) * a.ndim] = np.inf
         return a, b, c, d
 
     monkeypatch.setattr(tower_module, "cocycle_rows", overflowed)
     msg = "level-0 core cocycle of 3 letters is not finite at 1 of"
     with pytest.raises(CocycleOverflowError, match=msg):
         exclusion_sets(abc_structure, 0, ABC_POT, 1.0, (-3.0, 3.0), 257, 1e-6)
+
+
+def test_core_cocycles_frames_bit_equal_to_cocycle_stack(abc_structure):
+    # shared energies (the scan, the windows) and one energy per (core,
+    # energy) pair (the bisection), cores of two lengths, repeated and out of
+    # order, energies -0.0 and 0.0 and at a letter value among them
+    cores = abc_structure.level(0).cores
+    assert len({len(core) for core in cores}) > 1
+    rng = np.random.default_rng(7)
+    grid = np.concatenate((np.linspace(-3.0, 3.0, 97), [-0.0, 0.0, 3.5, -2.5]))
+    evaluate = tower_module.core_cocycles(cores, ABC_POT, 0)
+    shared = svd_angles_stack(evaluate(np.arange(len(cores)), grid))
+    core = rng.integers(0, len(cores), 60)
+    energy = rng.choice(grid, 60)
+    paired = svd_angles_stack(evaluate(core, energy[:, None])[:, 0])
+
+    def bits(frames):
+        return [np.ascontiguousarray(x).view(np.uint8).tobytes() for x in frames]
+
+    for k, word in enumerate(cores):
+        want = svd_angles_stack(cocycle_stack(word, grid, ABC_POT))
+        assert bits(x[k] for x in shared) == bits(want)
+    for i, k in enumerate(core):
+        want = svd_angles_stack(cocycle_stack(cores[k], energy[i : i + 1], ABC_POT))
+        assert bits(x[i : i + 1] for x in paired) == bits(want)
 
 
 def test_level2_core_overflow_fails_loudly():
@@ -853,6 +907,20 @@ def test_acceleration_requires_advanced_schedule():
     sched = init_schedule(0.1, 0.2, 1.0, 200.0, 2, 3, Constants(P=1), 1.0)
     with pytest.raises(ScheduleError):
         acceleration_verify(structure, sched, pot, np.array([0.5]), 0, 2)
+
+
+def test_acceleration_core_overflow_fails_loudly():
+    # the core bbb at v(b) = 1e120 overflows float64: its windows must raise,
+    # not read as failed growth checks, and without numpy warnings
+    pot = Potential({"a": 0.0, "b": 1e120})
+    structure = return_structure(Periodic("aabbb"), "a", 0, [], 300)
+    sched = init_schedule(0.1, 0.2, 1.0, 200.0, 5, 5, Constants(P=1), 1.0)
+    advance_schedule(sched, 10, 10)
+    with warnings.catch_warnings(), pytest.raises(
+        CocycleOverflowError, match="level-0 core cocycle of 3 letters is not finite at 2 of 2"
+    ):
+        warnings.simplefilter("error")
+        acceleration_verify(structure, sched, pot, np.array([0.5, 1.5]), 0, 2)
 
 
 def test_acceleration_full(fib_result):
