@@ -635,7 +635,7 @@ def test_bisection_evaluates_each_distinct_core_probe_once(abc_structure, monkey
 
 
 def test_probe_overflow_raises(abc_structure, monkeypatch):
-    # the grid scan's recurrences stay finite; the bisection's overflow
+    # the grid scan's recurrences stay finite and the bisection's overflow
     n_scan = len(_scan_recurrences(abc_structure.level(0).cores, 257))
     calls = []
 
@@ -661,7 +661,8 @@ def test_core_cocycles_frames_bit_equal_to_cocycle_stack(abc_structure):
     rng = np.random.default_rng(7)
     grid = np.concatenate((np.linspace(-3.0, 3.0, 97), [-0.0, 0.0, 3.5, -2.5]))
     evaluate = tower_module.core_cocycles(cores, ABC_POT, 0)
-    shared = svd_angles_stack(evaluate(np.arange(len(cores)), grid))
+    mats = evaluate(np.arange(len(cores)), grid)
+    shared = svd_angles_stack(mats)
     core = rng.integers(0, len(cores), 60)
     energy = rng.choice(grid, 60)
     paired = svd_angles_stack(evaluate(core, energy[:, None])[:, 0])
@@ -670,6 +671,7 @@ def test_core_cocycles_frames_bit_equal_to_cocycle_stack(abc_structure):
         return [np.ascontiguousarray(x).view(np.uint8).tobytes() for x in frames]
 
     for k, word in enumerate(cores):
+        assert mats[k].tobytes() == cocycle_stack(word, grid, ABC_POT).tobytes()
         want = svd_angles_stack(cocycle_stack(word, grid, ABC_POT))
         assert bits(x[k] for x in shared) == bits(want)
     for i, k in enumerate(core):
