@@ -527,8 +527,9 @@ def exclusion_sets(
     edges' probes once over both roles (alpha gives u, beta gives s).  The
     scan's frames and each pass's pairs come from one evaluator,
     ``core_cocycles``, so both see the same floats, and a core cocycle that
-    overflows raises ``CocycleOverflowError`` there; marker powers come from
-    ``cocycle_stack``.  Each probe is the float a one-round loop would
+    overflows raises ``CocycleOverflowError`` there; each marker power is one
+    ``cocycle_stack`` call per run length and pass, over every bracket's
+    probes.  Each probe is the float a one-round loop would
     compute, so the endpoints depend neither on the depth nor on the sharing,
     and a triple's components stay in grid order, so one pass over the table
     merges the touching ones.  Recorded endpoints sit on the outside of each
