@@ -210,12 +210,30 @@ def _as(kind, value):
     return kind(value)
 
 
-def _list_of(kind):
+class _OutOfRange(ValueError):
+    """A config value of the right type outside the range its key takes."""
+
+
+def _above(kind, low, strict=True):
+    """Converter of a ``kind`` value that must be > ``low`` (>= when not ``strict``)."""
+
+    def convert(value):
+        x = _as(kind, value)
+        if not (x > low or (not strict and x == low)):
+            raise _OutOfRange(f"need {'>' if strict else '>='} {low}, got {x!r}")
+        return x
+
+    return convert
+
+
+def _list_of(kind, nonempty=False):
     """Converter of a JSON list whose items are each converted by ``kind``."""
 
     def convert(value):
         if not isinstance(value, list):
             raise TypeError("not a list")
+        if nonempty and not value:
+            raise _OutOfRange("need at least one value")
         return [_as(kind, x) for x in value]
 
     return convert
@@ -245,11 +263,9 @@ class RunConfig:
         self.gamma_prime = self.get("gamma_prime", float, 0.2)
         self.c = self.get("c", float, 1.0)
         self.grid = self.get("grid", int, 2049)
-        self.refine_tol = self.get("refine_tol", float, 1e-7)
-        if self.refine_tol <= 0:
-            raise ConfigError("refine_tol must be > 0")
+        self.refine_tol = self.get("refine_tol", _above(float, 0.0), 1e-7)
         self.consts = Constants(
-            H=self.get("H", float, 3.0),
+            H=self.get("H", _above(float, 0.0), 3.0),
             cone_gap=self.get("cone_gap", float, 3.0),
             cone_eps=self.get("cone_eps", float, 0.5),
             P=self.get("P", int, 3),
@@ -270,7 +286,8 @@ class RunConfig:
             return _as(kind, value)
         except (TypeError, ValueError, OverflowError) as exc:
             problem = "is missing or null" if value is None else f"has the wrong type: {value!r}"
-            problem = f"is out of range: {exc}" if isinstance(exc, OverflowError) else problem
+            if isinstance(exc, (OverflowError, _OutOfRange)):
+                problem = f"is out of range: {exc}"
             raise ConfigError(f"config value {path!r} {problem}") from exc
 
     def section(self, name: str) -> dict:
@@ -471,7 +488,7 @@ def _run_decay(cfg: RunConfig, out: Path, log) -> int:
     table = decay_sweep(
         spec,
         v_base,
-        cfg.get("decay.lam_list", _list_of(float)),
+        cfg.get("decay.lam_list", _list_of(_above(float, 0.0))),
         cfg.get("decay.factor_len", int, 13),
         cfg.get("decay.e0_letter", str, "a"),
         float(cfg.consts.H),
@@ -579,15 +596,17 @@ def _run_tower(cfg: RunConfig, out: Path, log) -> int:
 
 
 def _run_verify(cfg: RunConfig, out: Path, log) -> int:
+    cfg.get("tower.levels", _above(int, 1, strict=False), 1)  # verify checks level 1
+    nonneg = _above(float, 0.0, strict=False)
+    max_residue = cfg.get("tower.covering_max_residue_fraction", nonneg, 1e-3)
     res = _tower_result(cfg)
     suite = scaled_product_suite(
         cfg.get("suite.trials", int, 10000),
-        cfg.get("suite.c0", float, 10.0),
-        cfg.get("suite.lam_floors", _list_of(float), [1000.0]),
+        cfg.get("suite.c0", _above(float, 1.0, strict=False), 10.0),
+        cfg.get("suite.lam_floors", _list_of(_above(float, 0.0), nonempty=True), [1000.0]),
         cfg.seed,
         cfg.consts.c_slack,
     )
-    max_residue = cfg.get("tower.covering_max_residue_fraction", float, 1e-3)
     meta = _meta(cfg)
     _write_tower(out, res, meta)
     accel = res.accel

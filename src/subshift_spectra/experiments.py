@@ -333,7 +333,8 @@ class SandwichSuite:
 
     @property
     def all_passed(self) -> bool:
-        return self.growth_failures == 0 and self.drift_failures == 0 and self.non_hyperbolic == 0
+        failures = self.growth_failures + self.drift_failures + self.non_hyperbolic
+        return self.tested > 0 and failures == 0
 
 
 def scaled_product_suite(

@@ -161,28 +161,19 @@ def proj_dist(x, y) -> float:
     return min(m, PI - m)
 
 
-def _dist_mod_pi(
-    a: np.ndarray,
-    b: np.ndarray,
-    out: np.ndarray | None = None,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def _dist_mod_pi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``min(|a - b| % pi, pi - |a - b| % pi)``, bit for bit.
 
     ``m % pi == m`` exactly for m in [0, pi), and ``m % pi == m - pi`` for m
     in [pi, 2 pi), where the subtraction is exact (Sterbenz), so only the
-    other entries (NaN included) go through numpy's scalar-loop ``%``.  The
-    result goes to ``out`` when given (it may be ``a`` or ``b``), and
-    ``work``, a float and a boolean array of the result's shape, holds the
-    intermediates, so a caller that passes both allocates nothing.
+    other entries (NaN included) go through numpy's scalar-loop ``%``.
     """
-    tmp, mask = (None, None) if work is None else work
-    m = np.asarray(np.abs(np.subtract(a, b, out=out), out=out))
-    big = np.logical_not(np.less(m, 2 * PI, out=mask), out=mask)
+    m = np.asarray(np.abs(np.subtract(a, b)))
+    big = ~(m < 2 * PI)
     if big.any():
         m[big] %= PI
-    np.subtract(m, PI, out=m, where=np.greater_equal(m, PI, out=mask))
-    return np.minimum(m, np.subtract(PI, m, out=tmp), out=out)
+    np.subtract(m, PI, out=m, where=m >= PI)
+    return np.minimum(m, PI - m)
 
 
 # ---------------------------------------------------------------------------

@@ -584,10 +584,6 @@ def exclusion_sets(
     d_s = _dist_mod_pi(PI / 2 - (s_all + frame_delta), rot)
     de = grid_pts[1] - grid_pts[0]
 
-    # (cores, grid) work arrays of every scan pass, made once per call:
-    # fresh temporaries this large would each fault their pages in again
-    phi, dist, tmp = np.empty((3, n_cores, grid))
-    mask = np.empty((n_cores, grid), dtype=bool)
     # membership between two outside columns: per row, its 1st, 3rd, ... change
     # is a component's first point and its 2nd, 4th, ... one is one past its last
     padded = np.zeros((n_cores, grid + 2), dtype=bool)
@@ -604,21 +600,16 @@ def exclusion_sets(
         ``c5_s`` is the s-part of c5 per row.  Returns the components as
         (row, start, end) arrays in row order and c1, c5 per row."""
         theta = theta_of(u, cpow)
-        np.add(theta, rot, out=phi)
-        g = _dist_mod_pi(phi, PI / 2, out=dist, work=(tmp, mask))
-        np.logical_or(np.less_equal(g, kappa, out=grid_member), not_both, out=grid_member)
+        phi = theta + rot
+        np.logical_or(_dist_mod_pi(phi, PI / 2) <= kappa, not_both, out=grid_member)
         rows, cols = np.nonzero(np.not_equal(padded[:, 1:], padded[:, :-1], out=flips))
         rows, starts, ends = rows[::2], cols[::2], cols[1::2] - 1
 
         # empirical Lipschitz constant of the composed angle under a frame
         # perturbation of u (the unnamed closeness constant)
-        np.copyto(tmp, _dist_mod_pi(theta_of(u + frame_delta, cpow), theta))
-        np.copyto(tmp, 0.0, where=not_both)
-        c5 = np.maximum(np.max(tmp, axis=1), c5_s) / frame_delta
-        steps = _dist_mod_pi(
-            phi[:, 1:], phi[:, :-1], out=dist[:, 1:], work=(tmp[:, 1:], mask[:, 1:])
-        )
-        np.copyto(steps, np.inf, where=invalid)
+        c5_u = np.where(not_both, 0.0, _dist_mod_pi(theta_of(u + frame_delta, cpow), theta))
+        c5 = np.maximum(np.max(c5_u, axis=1), c5_s) / frame_delta
+        steps = np.where(invalid, np.inf, _dist_mod_pi(phi[:, 1:], phi[:, :-1]))
         c1 = np.min(steps, axis=1) / de
         return rows, starts, ends, c1, c5
 

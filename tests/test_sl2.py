@@ -249,20 +249,6 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-def _work(shape) -> tuple[np.ndarray, np.ndarray]:
-    return np.empty(shape), np.empty(shape, dtype=bool)
-
-
-def _column_views(x: np.ndarray):
-    """x as the last columns of a 2-row array, and out and work views of the
-    same column slice, as the scan's grid-step reduction passes them."""
-    rows = np.stack([x, x[::-1]])
-    pad = np.empty((2, x.size + 1))
-    pad[:, 1:] = rows
-    tmp, mask = _work((2, x.size + 1))
-    return rows, pad[:, 1:], np.empty((2, x.size + 1))[:, 1:], (tmp[:, 1:], mask[:, 1:])
-
-
 _dist_value = st.one_of(
     st.sampled_from(_DIST_EDGES),
     st.floats(-PI, PI),
@@ -283,22 +269,9 @@ def test_dist_mod_pi_bit_equal_to_remainder(pairs):
     assert np.array_equal(_bits(_dist_mod_pi(a, b)), want)
     # 0-d arguments go through the same reduction
     assert _bits(_dist_mod_pi(a[0], b[0])) == _bits(np.minimum(m[0], PI - m[0]))
-    # into a separate out, into a or b itself, and against a scalar
-    out = np.empty_like(a)
-    assert _dist_mod_pi(a, b, out=out, work=_work(a.shape)) is out
-    assert np.array_equal(_bits(out), want)
-    for alias in (0, 1):
-        args = [a.copy(), b.copy()]
-        assert _dist_mod_pi(*args, out=args[alias], work=_work(a.shape)) is args[alias]
-        assert np.array_equal(_bits(args[alias]), want)
+    # against a scalar, as the scan's distance to pi/2
     m_half = np.abs(a - PI / 2) % PI
-    out = _dist_mod_pi(a, PI / 2, out=np.empty_like(a), work=_work(a.shape))
-    assert np.array_equal(_bits(out), _bits(np.minimum(m_half, PI - m_half)))
-    # neighbouring columns of one array, as the scan's grid steps
-    rows, view, out, (tmp, mask) = _column_views(a)
-    m = np.abs(rows[:, 1:] - rows[:, :-1]) % PI
-    got = _dist_mod_pi(view[:, 1:], view[:, :-1], out=out[:, 1:], work=(tmp[:, 1:], mask[:, 1:]))
-    assert np.array_equal(_bits(got), _bits(np.minimum(m, PI - m)))
+    assert np.array_equal(_bits(_dist_mod_pi(a, PI / 2)), _bits(np.minimum(m_half, PI - m_half)))
 
 
 def test_peak_angle_identity():

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --before DIR --after DIR --out BENCH_n.json \\
         [--workload tower-bisect --seeds 1901-1910] [--workload spectra --seeds ...] \\
-        [--trace tower-bisect --trace-pairs 5] [--seconds 56]
+        [--trace tower-bisect --trace-pairs 5] [--seconds 56] [--ablation NAME]
 
 For each workload and seed, ``perfbench/run.py --workload W --seed S`` runs
 once in each checkout, one after the other; the side that goes first
@@ -17,7 +17,11 @@ traced runs (``--trace 1``, seed 1) with their per-layer metrics; a traced
 run reports the ops of the first cycle of configs whatever ``--seconds``
 is, but has no probe, so only pairs run close together compare.  An
 existing ``--out`` file is updated, so the untraced and traced runs can be
-made by separate calls.  The machine line is the one ``run.py`` prints.
+made by separate calls.  With ``--ablation NAME`` the untraced pairs are
+filed under ``ablations.NAME`` instead of ``workloads``: there ``--before``
+is the change and ``--after`` a copy of it with one mechanism taken out, so
+the measured cost of a mechanism joins the change's own pairs in one file.
+The machine line is the one ``run.py`` prints.
 Uses only the standard library.
 """
 
@@ -94,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--trace", action="append", default=[])
     ap.add_argument("--trace-pairs", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=56.0)
+    ap.add_argument("--ablation", help="file the untraced pairs under ablations.NAME")
     args = ap.parse_args(argv)
     if len(args.seeds) != len(args.workload):
         ap.error("give one --seeds range per --workload")
@@ -114,9 +119,14 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
         return pairs
 
+    filed = (
+        doc.setdefault("ablations", {}).setdefault(args.ablation, {})
+        if args.ablation
+        else doc.setdefault("workloads", {})
+    )
     for workload, seed_range in zip(args.workload, args.seeds):
         pairs = pairs_of(workload, seeds(seed_range), False)
-        doc.setdefault("workloads", {})[workload] = {
+        filed[workload] = {
             "seconds": args.seconds, "summary": summary(pairs), "runs": pairs
         }
     for workload in args.trace:
