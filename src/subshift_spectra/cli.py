@@ -210,30 +210,27 @@ def _as(kind, value):
     return kind(value)
 
 
-class _OutOfRange(ValueError):
-    """A config value of the right type outside the range its key takes."""
-
-
-def _above(kind, low, strict=True):
-    """Converter of a ``kind`` value that must be > ``low`` (>= when not ``strict``)."""
+def _bound(kind, op, low):
+    """Converter of a ``kind`` value x with ``x op low`` (``op`` is ">" or ">="); a value
+    of the right type outside that range is a ``ConfigError``."""
 
     def convert(value):
         x = _as(kind, value)
-        if not (x > low or (not strict and x == low)):
-            raise _OutOfRange(f"need {'>' if strict else '>='} {low}, got {x!r}")
+        if not (x > low or op == ">=" and x == low):
+            raise ConfigError(f"need {op} {low}, got {x!r}")
         return x
 
     return convert
 
 
-def _list_of(kind, nonempty=False):
-    """Converter of a JSON list whose items are each converted by ``kind``."""
+def _list_of(kind):
+    """Converter of a nonempty JSON list whose items are each converted by ``kind``."""
 
     def convert(value):
         if not isinstance(value, list):
             raise TypeError("not a list")
-        if nonempty and not value:
-            raise _OutOfRange("need at least one value")
+        if not value:
+            raise ConfigError("need at least one value")
         return [_as(kind, x) for x in value]
 
     return convert
@@ -263,9 +260,9 @@ class RunConfig:
         self.gamma_prime = self.get("gamma_prime", float, 0.2)
         self.c = self.get("c", float, 1.0)
         self.grid = self.get("grid", int, 2049)
-        self.refine_tol = self.get("refine_tol", _above(float, 0.0), 1e-7)
+        self.refine_tol = self.get("refine_tol", _bound(float, ">", 0.0), 1e-7)
         self.consts = Constants(
-            H=self.get("H", _above(float, 0.0), 3.0),
+            H=self.get("H", _bound(float, ">", 0.0), 3.0),
             cone_gap=self.get("cone_gap", float, 3.0),
             cone_eps=self.get("cone_eps", float, 0.5),
             P=self.get("P", int, 3),
@@ -286,7 +283,7 @@ class RunConfig:
             return _as(kind, value)
         except (TypeError, ValueError, OverflowError) as exc:
             problem = "is missing or null" if value is None else f"has the wrong type: {value!r}"
-            if isinstance(exc, (OverflowError, _OutOfRange)):
+            if isinstance(exc, (OverflowError, ConfigError)):
                 problem = f"is out of range: {exc}"
             raise ConfigError(f"config value {path!r} {problem}") from exc
 
@@ -488,7 +485,7 @@ def _run_decay(cfg: RunConfig, out: Path, log) -> int:
     table = decay_sweep(
         spec,
         v_base,
-        cfg.get("decay.lam_list", _list_of(_above(float, 0.0))),
+        cfg.get("decay.lam_list", _list_of(_bound(float, ">", 0.0))),
         cfg.get("decay.factor_len", int, 13),
         cfg.get("decay.e0_letter", str, "a"),
         float(cfg.consts.H),
@@ -596,14 +593,13 @@ def _run_tower(cfg: RunConfig, out: Path, log) -> int:
 
 
 def _run_verify(cfg: RunConfig, out: Path, log) -> int:
-    cfg.get("tower.levels", _above(int, 1, strict=False), 1)  # verify checks level 1
-    nonneg = _above(float, 0.0, strict=False)
-    max_residue = cfg.get("tower.covering_max_residue_fraction", nonneg, 1e-3)
+    cfg.get("tower.levels", _bound(int, ">=", 1), 1)  # verify checks level 1
+    max_residue = cfg.get("tower.covering_max_residue_fraction", _bound(float, ">=", 0.0), 1e-3)
     res = _tower_result(cfg)
     suite = scaled_product_suite(
         cfg.get("suite.trials", int, 10000),
-        cfg.get("suite.c0", _above(float, 1.0, strict=False), 10.0),
-        cfg.get("suite.lam_floors", _list_of(_above(float, 0.0), nonempty=True), [1000.0]),
+        cfg.get("suite.c0", _bound(float, ">=", 1.0), 10.0),
+        cfg.get("suite.lam_floors", _list_of(_bound(float, ">", 0.0)), [1000.0]),
         cfg.seed,
         cfg.consts.c_slack,
     )

@@ -164,9 +164,9 @@ def proj_dist(x, y) -> float:
 def _dist_mod_pi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``min(|a - b| % pi, pi - |a - b| % pi)``, bit for bit.
 
-    ``m % pi == m`` exactly for m in [0, pi), and ``m % pi == m - pi`` for m
-    in [pi, 2 pi), where the subtraction is exact (Sterbenz), so only the
-    other entries (NaN included) go through numpy's scalar-loop ``%``.
+    ``m % pi`` is m on [0, pi) and m - pi, exact by Sterbenz, on [pi, 2 pi), so
+    only other entries (NaN too) go through numpy's scalar-loop ``%``: with ``%``
+    on all, a tower-bisect op took 25% longer (``BENCH_27.json``, ablations).
     """
     m = np.asarray(np.abs(np.subtract(a, b)))
     big = ~(m < 2 * PI)

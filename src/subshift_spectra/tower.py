@@ -510,18 +510,18 @@ def exclusion_sets(
     and beta).
 
     The sets are found by uniform sampling, one (cores, grid) pass per alpha
-    core and marker-run length that covers every beta core at once, in (cores,
-    grid) work arrays made once per call; a pass finds its components where
-    grid membership changes between neighbours.  The passes fill one table of
-    (triple index, first and last grid point) per component, stably sorted by
-    triple index into (alpha, beta, j) order and checked against the component
-    cap before any bisection.  Every edge brackets one grid step, its last
-    point inside and first point outside, and runs the
-    ceil(log2(largest step / refine_tol)) rounds of the largest step: linspace
-    steps differ only in their last bits, so that is at most one round more
-    than its own step needs.  A bracket is a function of its grid step and
-    side, later of its parent bracket and the leaf reached, so each distinct
-    bracket is refined once for all its edges.  The rounds go
+    core and marker-run length that covers every beta core at once, in fresh
+    temporaries (reused work arrays gained nothing: ``BENCH_27.json``); a pass
+    finds its components where grid membership changes between neighbours.
+    The passes fill one table of (triple index, first and last grid point) per
+    component, stably sorted by triple index into (alpha, beta, j) order and
+    checked against the component cap before any bisection.  Every edge
+    brackets one grid step, its last point inside and first point outside, and
+    runs the ceil(log2(largest step / refine_tol)) rounds of the largest step:
+    linspace steps differ only in their last bits, so that is at most one
+    round more than its own step needs.  A bracket is a function of its grid
+    step and side, later of its parent bracket and the leaf reached, so each
+    distinct bracket is refined once for all its edges.  The rounds go
     ``BISECT_DEPTH`` at a time: one pass takes every midpoint the next rounds
     could visit in each bracket, and each distinct (core, energy) pair of the
     edges' probes once over both roles (alpha gives u, beta gives s).  The
@@ -529,15 +529,15 @@ def exclusion_sets(
     ``core_cocycles``, so both see the same floats, and a core cocycle that
     overflows raises ``CocycleOverflowError`` there; each marker power is one
     ``cocycle_stack`` call per run length and pass, over every bracket's
-    probes.  Each probe is the float a one-round loop would
-    compute, so the endpoints depend neither on the depth nor on the sharing,
-    and a triple's components stay in grid order, so one pass over the table
-    merges the touching ones.  Recorded endpoints sit on the outside of each
-    component (conservative by at most ``refine_tol`` per side); components
-    entirely between grid points are missed, which is the documented grid
-    resolution limit.  Energies where either core's cocycle is rotation-like
-    are folded into the exclusion (tangency is then undefined but
-    hyperbolicity fails, which is exactly what exclusion must cover).
+    probes.  Each probe is the float a one-round loop would compute, so the
+    endpoints depend neither on the depth nor on the sharing, and a triple's
+    components stay in grid order, so one pass over the table merges the
+    touching ones.  Recorded endpoints sit on the outside of each component
+    (conservative by at most ``refine_tol`` per side); components entirely
+    between grid points are missed, which is the documented grid resolution
+    limit.  Energies where either core's cocycle is rotation-like are folded
+    into the exclusion (tangency is then undefined but hyperbolicity fails,
+    which is exactly what exclusion must cover).
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")

@@ -442,6 +442,46 @@ def test_config_number_of_wrong_type_is_rejected(tmp_path, capsys, key, value):
     assert not list((tmp_path / "o").rglob("*"))  # no artifact
 
 
+OUT_OF_RANGE_NUMBERS = [
+    ("decay", "decay.lam_list", [-1, 1, 2]),
+    ("decay", "decay.lam_list", [0, 1, 2]),
+    ("decay", "H", 0),
+    ("verify", "H", 0),
+    ("decay", "H", -1),
+    ("verify", "refine_tol", 0),
+    ("verify", "suite.lam_floors", []),
+    ("verify", "suite.lam_floors", [0.0]),
+    ("verify", "suite.lam_floors", [1000.0, -1.0]),
+    ("verify", "suite.c0", 0.5),
+    ("verify", "tower.covering_max_residue_fraction", -1),
+    ("verify", "tower.levels", 0),
+    ("words", "words.complexity_lengths", []),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    OUT_OF_RANGE_NUMBERS,
+    ids=[f"{c}-{k}={v!r}" for c, k, v in OUT_OF_RANGE_NUMBERS],
+)
+def test_config_number_out_of_range_is_rejected(tmp_path, capsys, command, key, value):
+    # a number of the right type outside its key's range is named before any
+    # work: no numpy warning, no failed gate and no suite that tests nothing
+    base = MISTAKE_BASES[command]
+    if isinstance(base, str):
+        base = json.loads((CONFIGS / base).read_text())
+    payload = copy.deepcopy(base)
+    *section, name = key.split(".")
+    (payload[section[0]] if section else payload)[name] = value
+    cfg_path = write_config(tmp_path, payload)
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: config value '{key}' is out of range")
+    assert not list((tmp_path / "o").rglob("*"))  # no artifact
+
+
 COUPLING_TOO_SMALL = [
     ({"subshift": {**FIBONACCI_SPEC, "rules": {"a": "ab", "b": "aa"}}}, "chi_1 = -0.651196 <= 0"),
     ({"potential": {"a": 0.0, "b": 5.0}}, "need lam > 2*cone_gap = 6.0, got lam=5.0"),

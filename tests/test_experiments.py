@@ -234,6 +234,14 @@ def test_suite_single_trial():
     assert suite.all_passed
 
 
+def test_suite_that_tests_nothing_does_not_pass():
+    # a floor of 0.1 puts the angle floor 0.1^(-1/4) above pi/2, so every draw
+    # is excluded: no tested trial is no pass
+    suite = scaled_product_suite(100, 10.0, [0.1], seed=1)
+    assert suite.tested == 0 and suite.excluded == 100
+    assert not suite.all_passed
+
+
 def test_suite_reproducible_bitwise():
     a = scaled_product_suite(2000, 10.0, [1e3, 1e4], seed=99)
     b = scaled_product_suite(2000, 10.0, [1e3, 1e4], seed=99)
