@@ -81,7 +81,7 @@ class IntervalSet:
     ) -> list["IntervalSet"]:
         """``from_pairs`` of the (lo, hi) rows of each group 0 .. n - 1 in one sweep, for
         rows sorted by group with lo and hi strictly increasing in a group (the running
-        max hi is the previous hi); other rows are the builder's fault: ``RuntimeError``.
+        max hi is the previous hi); other rows are the caller's fault: ``RuntimeError``.
         One ``from_pairs`` per group took a tower-bisect op 5% longer (``BENCH_27.json``)."""
         same = group[1:] == group[:-1]
         if not np.all(lo <= hi) or np.any(same & ((lo[1:] <= lo[:-1]) | (hi[1:] <= hi[:-1]))):

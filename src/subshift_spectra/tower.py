@@ -529,15 +529,15 @@ def exclusion_sets(
     ``core_cocycles``, so both see the same floats, and a core cocycle that
     overflows raises ``CocycleOverflowError`` there; each marker power is one
     ``cocycle_stack`` call per run length and pass, over every bracket's
-    probes.  Each probe is the float a one-round loop would compute, so the
-    endpoints depend neither on the depth nor on the sharing, and a triple's
-    components stay in grid order, so one pass over the table merges the
-    touching ones.  Recorded endpoints sit on the outside of each component
-    (conservative by at most ``refine_tol`` per side); components entirely
-    between grid points are missed, which is the documented grid resolution
-    limit.  Energies where either core's cocycle is rotation-like are folded
-    into the exclusion (tangency is then undefined but hyperbolicity fails,
-    which is exactly what exclusion must cover).
+    probes.  Each probe is the float a one-round loop would
+    compute, so the endpoints depend neither on the depth nor on the sharing,
+    and a triple's components stay in grid order, so one pass over the table
+    merges the touching ones.  Recorded endpoints sit on the outside of each
+    component (conservative by at most ``refine_tol`` per side); components
+    entirely between grid points are missed, which is the documented grid
+    resolution limit.  Energies where either core's cocycle is rotation-like
+    are folded into the exclusion (tangency is then undefined but
+    hyperbolicity fails, which is exactly what exclusion must cover).
     """
     if grid < 8:
         raise ValueError("grid must have at least 8 points")
