@@ -210,14 +210,16 @@ def _as(kind, value):
     return kind(value)
 
 
-def _bound(kind, op, low):
-    """Converter of a ``kind`` value x with ``x op low`` (``op`` is ">" or ">="); a value
-    of the right type outside that range is a ``ConfigError``."""
+def _bound(kind, op, low, high=math.inf):
+    """Converter of a ``kind`` value x with ``x op low`` (``op`` is ">" or ">=") and
+    x <= ``high``; a value of the right type outside that range is a ``ConfigError``."""
 
     def convert(value):
         x = _as(kind, value)
         if not (x > low or op == ">=" and x == low):
             raise ConfigError(f"need {op} {low}, got {x!r}")
+        if x > high:
+            raise ConfigError(f"need <= {high}, got {x!r}")
         return x
 
     return convert
@@ -232,6 +234,17 @@ def _list_of(kind):
         if not value:
             raise ConfigError("need at least one value")
         return [_as(kind, x) for x in value]
+
+    return convert
+
+
+def _dict_of(kind):
+    """Converter of a JSON object whose values are each converted by ``kind``."""
+
+    def convert(value):
+        if not isinstance(value, dict):
+            raise TypeError("not an object")
+        return {k: _as(kind, v) for k, v in value.items()}
 
     return convert
 
@@ -309,15 +322,17 @@ class RunConfig:
         kind = sec.get("kind")
         try:
             if kind == "periodic":
-                return Periodic(str(sec["word"]))
+                return Periodic(self.get("subshift.word", str))
             if kind == "substitution":
-                rules = {str(k): str(v) for k, v in sec["rules"].items()}
-                return Substitution(rules, str(sec["seed_letter"]))
+                rules = self.get("subshift.rules", _dict_of(str))
+                return Substitution(rules, self.get("subshift.seed_letter", str))
             if kind == "adz_stages":
-                return AdzStages(tuple(tuple(str(w) for w in st) for st in sec["stages"]))
+                return AdzStages(self.get("subshift.stages", _list_of(_list_of(str))))
             if kind == "sample":
-                return Sample(str(sec["word"]))
-        except (KeyError, TypeError, ValueError) as exc:
+                return Sample(self.get("subshift.word", str))
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad subshift spec: {exc}") from exc
         raise ConfigError(f"unknown subshift kind {kind!r}")
 
@@ -507,7 +522,7 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
         pot,
         cfg.get("adz.stages", int, 3),
         cfg.get("adz.n_cap", int, 10000),
-        cfg.get("adz.n_floor", int, 4),
+        cfg.get("adz.n_floor", int, 1),
         cfg.get("adz.max_word_len", int, 2048),
     )
     growth = None
@@ -595,14 +610,13 @@ def _run_tower(cfg: RunConfig, out: Path, log) -> int:
 def _run_verify(cfg: RunConfig, out: Path, log) -> int:
     cfg.get("tower.levels", _bound(int, ">=", 1), 1)  # verify checks level 1
     max_residue = cfg.get("tower.covering_max_residue_fraction", _bound(float, ">=", 0.0), 1e-3)
+    # the suite's matrix entries reach c0 (100 floor)^2 and its growth ratios
+    # floor^-4: inside these ranges both stay finite
+    trials = cfg.get("suite.trials", int, 10000)
+    c0 = cfg.get("suite.c0", _bound(float, ">=", 1.0, 1e4), 10.0)
+    floors = cfg.get("suite.lam_floors", _list_of(_bound(float, ">=", 1e-50, 1e150)), [1000.0])
     res = _tower_result(cfg)
-    suite = scaled_product_suite(
-        cfg.get("suite.trials", int, 10000),
-        cfg.get("suite.c0", _bound(float, ">=", 1.0), 10.0),
-        cfg.get("suite.lam_floors", _list_of(_bound(float, ">", 0.0)), [1000.0]),
-        cfg.seed,
-        cfg.consts.c_slack,
-    )
+    suite = scaled_product_suite(trials, c0, floors, cfg.seed, cfg.consts.c_slack)
     meta = _meta(cfg)
     _write_tower(out, res, meta)
     accel = res.accel

@@ -114,14 +114,25 @@ def cocycle_product(word: Word, energy: float, pot: Potential) -> Mat2:
     return Mat2.from_array(cocycle_stack(word, np.array([energy]), pot)[0])
 
 
-def cocycle_rows(xs: Iterable[np.ndarray], shape) -> tuple[np.ndarray, ...]:
+def cocycle_rows(
+    xs: Iterable[np.ndarray], shape, derivative: bool = False
+) -> tuple[np.ndarray, ...]:
     """Entries (a, b, c, d) of the ordered product of [[x, -1], [1, 0]] over ``xs``.
 
     The package's one loop that multiplies transfer matrices: left-multiplying
     by [[x, -1], [1, 0]] is the two-row recurrence (a, b, c, d) -> (x a - c,
-    x b - d, a, b), run on arrays of ``shape`` (x = E - v per letter).
+    x b - d, a, b), run on arrays of ``shape`` (x = E - v per letter).  With
+    ``derivative``, the entries (da, db, dc, dd) of the product's E-derivative
+    follow, carried by the product rule with dx/dE = 1 per letter ahead of each
+    update: (da, db, dc, dd) -> (x da - dc + a, x db - dd + b, da, db).
     """
     a, b, c, d = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    if derivative:
+        da, db, dc, dd = (np.zeros(shape) for _ in range(4))
+        for x in xs:
+            da, db, dc, dd = x * da - dc + a, x * db - dd + b, da, db
+            a, b, c, d = x * a - c, x * b - d, a, b
+        return a, b, c, d, da, db, dc, dd
     for x in xs:
         a, b, c, d = x * a - c, x * b - d, a, b
     return a, b, c, d

@@ -81,30 +81,18 @@ def critical_matrix_bound(
 ) -> float:
     """Upper bound C on ||C^E_k|| and ||d/dE C^E_k|| for k <= max_run, E in I.
 
-    C^E is the marker letter's transfer matrix; powers and their energy
-    derivatives are evaluated on a grid over [E0 - H, E0 + H] and the
-    maximum spectral norm is returned (capped by the analytic bound
-    max_run * (2 + H)^max_run).
+    C^E is the marker letter's transfer matrix.  Each power and its energy
+    derivative come from one ``cocycle_rows`` call with derivative rows on a
+    grid over [E0 - H, E0 + H], and the maximum spectral norm is returned,
+    at least 1 and capped by the analytic bound max_run * (2 + H)^max_run.
     """
     e0 = pot.value(alpha0)
-    energies = np.linspace(e0 - h, e0 + h, grid)
-    c = np.zeros((grid, 2, 2))
-    c[:, 0, 0] = energies - e0
-    c[:, 0, 1] = -1.0
-    c[:, 1, 0] = 1.0
-    dc = np.zeros((grid, 2, 2))
-    dc[:, 0, 0] = 1.0
-
-    def spec_norm(m: np.ndarray) -> float:
-        return float(np.linalg.norm(m, ord=2, axis=(1, 2)).max())
-
+    x = np.linspace(e0 - h, e0 + h, grid) - e0
     worst = 0.0
-    power = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
-    dpower = np.zeros((grid, 2, 2))
-    for _ in range(max_run):
-        dpower = dpower @ c + power @ dc
-        power = power @ c
-        worst = max(worst, spec_norm(power), spec_norm(dpower))
+    for k in range(1, max_run + 1):
+        rows = cocycle_rows(itertools.repeat(x, k), grid, derivative=True)
+        mats = np.stack(rows, axis=-1).reshape(grid, 2, 2, 2)  # (power, derivative)
+        worst = max(worst, *np.linalg.norm(mats, ord=2, axis=(2, 3)).max(axis=0).tolist())
     analytic = max_run * (2.0 + h) ** max_run
     return min(max(worst, 1.0), analytic)
 
@@ -905,11 +893,6 @@ class CoveringReport:
     dilation: float
     jbar_measure: float
     c3_hat: float  # Leb(Jbar) * lam^gamma
-
-    @property
-    def summary(self) -> str:
-        status = "covered" if self.covered else f"residue {self.residue:.3e}"
-        return f"approx {self.approx_measure:.6e} vs exclusion: {status}; C3={self.c3_hat:.4g}"
 
 
 def covering_and_measure_check(

@@ -24,6 +24,7 @@ from subshift_spectra.cli import (
     main,
     read_intervals_csv,
 )
+from subshift_spectra.experiments import scaled_product_suite
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -189,6 +190,21 @@ def test_adz_command_and_determinism(tmp_path):
     report = json.loads((out1 / "adz.json").read_text())
     assert report["retained_half"] is True
     assert report["stages"][0]["chosen_N"] is not None
+
+
+def test_adz_n_floor_defaults_to_the_library_floor(tmp_path):
+    # without n_floor the shipped adz config searches N from 1, as
+    # experiments.adz_construct does, and writes the same stages
+    payload = json.loads((CONFIGS / "acceptance_adz.json").read_text())
+    assert payload["adz"]["n_floor"] == 1
+    code1, out1 = run(tmp_path, "adz", payload, out="with")
+    del payload["adz"]["n_floor"]
+    code2, out2 = run(tmp_path, "adz", payload, out="without")
+    assert code1 == code2 == 0
+    names = ["adz.csv", "stage_1.txt", "stage_2.txt", "stage_3.txt"]
+    assert sorted(p.name for p in out2.glob("stage_*.txt")) == names[1:]
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_adz_failure_exit_code(tmp_path):
@@ -442,6 +458,32 @@ def test_config_number_of_wrong_type_is_rejected(tmp_path, capsys, key, value):
     assert not list((tmp_path / "o").rglob("*"))  # no artifact
 
 
+WRONG_SUBSHIFT_TYPES = [
+    ({"kind": "periodic", "word": 12}, "word"),
+    ({"kind": "periodic", "word": True}, "word"),
+    ({"kind": "sample", "word": ["ab"]}, "word"),
+    ({**FIBONACCI_SPEC, "rules": {"a": ["a", "b"], "b": "a"}}, "rules"),
+    ({**FIBONACCI_SPEC, "seed_letter": ["a"]}, "seed_letter"),
+    ({"kind": "adz_stages", "stages": [["a", "b"], ["ab", 3]]}, "stages"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, key", WRONG_SUBSHIFT_TYPES, ids=[f"{s['kind']}.{k}" for s, k in WRONG_SUBSHIFT_TYPES]
+)
+def test_subshift_value_of_wrong_type_is_rejected(tmp_path, capsys, spec, key):
+    # a subshift word, seed letter, rule image or stage word takes only a JSON
+    # string: 12 is not the word "12", nor ["a", "b"] the image "['a', 'b']"
+    payload = {**MISTAKE_BASES["words"], "subshift": spec}
+    cfg_path = write_config(tmp_path, payload)
+    code = main(["words", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: config value 'subshift.{key}' has the wrong type")
+    assert not list((tmp_path / "o").rglob("*"))  # no artifact
+
+
 OUT_OF_RANGE_NUMBERS = [
     ("decay", "decay.lam_list", [-1, 1, 2]),
     ("decay", "decay.lam_list", [0, 1, 2]),
@@ -453,6 +495,11 @@ OUT_OF_RANGE_NUMBERS = [
     ("verify", "suite.lam_floors", [0.0]),
     ("verify", "suite.lam_floors", [1000.0, -1.0]),
     ("verify", "suite.c0", 0.5),
+    ("verify", "suite.c0", 1e80),
+    ("verify", "suite.c0", 2e4),
+    ("verify", "suite.lam_floors", [1e160]),
+    ("verify", "suite.lam_floors", [1000.0, 1e151]),
+    ("verify", "suite.lam_floors", [1e-100]),
     ("verify", "tower.covering_max_residue_fraction", -1),
     ("verify", "tower.levels", 0),
     ("words", "words.complexity_lengths", []),
@@ -480,6 +527,17 @@ def test_config_number_out_of_range_is_rejected(tmp_path, capsys, command, key, 
     assert len(err) == 1
     assert err[0].startswith(f"configuration error: config value '{key}' is out of range")
     assert not list((tmp_path / "o").rglob("*"))  # no artifact
+
+
+@pytest.mark.parametrize("c0", [1.0, 10.0, 1e4])
+@pytest.mark.parametrize("floor", [1e-50, 1e150])
+def test_suite_at_its_range_limits_stays_finite(c0, floor):
+    # the limits of suite.c0 and suite.lam_floors keep the suite's matrices
+    # and growth ratios in the float range: no numpy warning, and every kept
+    # trial is hyperbolic
+    suite = scaled_product_suite(2000, c0, [floor], 1)
+    assert suite.non_hyperbolic == 0
+    assert suite.tested == (2000 if floor > 1 else 0)
 
 
 COUPLING_TOO_SMALL = [

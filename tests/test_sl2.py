@@ -11,6 +11,7 @@ from subshift_spectra.sl2 import (
     _dist_mod_pi,
     EllipticError,
     PI,
+    cocycle_rows,
     cocycle_stack,
     cone_certificate,
     peak_angle,
@@ -84,6 +85,34 @@ def test_cocycle_stack_bit_equal_to_scalar_chain(n_energies):
             for k in (0, n_energies - 1):  # plain Python floats
                 scalar = _chain(word, float(energies[k]), pot)
                 assert np.array_equal(got[k], scalar.as_array()), (word, energies[k])
+
+
+def test_cocycle_rows_derivative_bit_equal_to_product_rule_chain():
+    # the derivative rows are d/dE of T(w[-1]) ... T(w[0]) by the chain
+    # D <- dT P + T D, dT = [[1, 0], [0, 0]], bit for bit wherever the chain
+    # is finite (past overflow it differs only through 0 * inf), and the
+    # product rows are those of the plain recurrence
+    gen = rng(28)
+    pot = Potential({"a": 0.0, "b": 2.5, "c": -1.75})
+    dt = np.array([[1.0, 0.0], [0.0, 0.0]])
+    n = 17
+    for _ in range(300):
+        energies = gen.uniform(-4.0, 6.0, n)
+        word = "".join(gen.choice(list("abc"), gen.integers(1, 120)))
+        p, dp = np.broadcast_to(np.eye(2), (n, 2, 2)).copy(), np.zeros((n, 2, 2))
+        for ch in word:
+            t = np.zeros((n, 2, 2))
+            t[:, 0, 0], t[:, 0, 1], t[:, 1, 0] = energies - pot.value(ch), -1.0, 1.0
+            dp = dt @ p + t @ dp
+            p = t @ p
+        xs = [energies - pot.value(ch) for ch in word]
+        rows = cocycle_rows(xs, n, derivative=True)
+        got = np.stack(rows, axis=-1).reshape(n, 2, 2, 2)
+        finite = np.isfinite(dp).all(axis=(1, 2))
+        assert finite.any()
+        assert np.array_equal(got[finite, 0], p[finite])
+        assert np.array_equal(got[finite, 1], dp[finite])
+        assert all(np.array_equal(x, y) for x, y in zip(cocycle_rows(xs, n), rows[:4], strict=True))
 
 
 def test_cocycle_composition_order_convention(pot04):

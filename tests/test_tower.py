@@ -57,6 +57,41 @@ def test_critical_matrix_bound_range():
     assert critical_matrix_bound(pot, "a", 1, 3.0) >= 1.0
 
 
+def _matmul_marker_bound(pot, alpha0, max_run, h, grid):
+    """The marker bound by the matmul product rule D <- D C + P dC, P <- P C
+    on (grid, 2, 2) stacks: the oracle of ``critical_matrix_bound``."""
+    e0 = pot.value(alpha0)
+    c = np.zeros((grid, 2, 2))
+    c[:, 0, 0] = np.linspace(e0 - h, e0 + h, grid) - e0
+    c[:, 0, 1], c[:, 1, 0] = -1.0, 1.0
+    dc = np.zeros((grid, 2, 2))
+    dc[:, 0, 0] = 1.0
+    worst = 0.0
+    power, dpower = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy(), np.zeros((grid, 2, 2))
+    for _ in range(max_run):
+        dpower = dpower @ c + power @ dc
+        power = power @ c
+        norms = [np.linalg.norm(m, ord=2, axis=(1, 2)).max() for m in (power, dpower)]
+        worst = max(worst, *map(float, norms))
+    return min(max(worst, 1.0), max_run * (2.0 + h) ** max_run)
+
+
+@pytest.mark.parametrize("grid", [33, 257])
+@pytest.mark.parametrize("h", [1.5, 2.9, 3.0])
+def test_critical_matrix_bound_bit_equal_to_matmul_product_rule(h, grid):
+    pot = Potential({"a": 0.25, "b": 200.0})
+    energies = np.linspace(0.25 - h, 0.25 + h, grid)
+    power_norm = 0.0
+    for max_run in range(1, 13):
+        got = critical_matrix_bound(pot, "a", max_run, h, grid)
+        assert type(got) is float
+        assert got == _matmul_marker_bound(pot, "a", max_run, h, grid), max_run
+        power = cocycle_stack("a" * max_run, energies, pot)
+        power_norm = max(power_norm, np.linalg.norm(power, ord=2, axis=(1, 2)).max())
+        if max_run >= 3:  # the derivative's norm sets C
+            assert got > power_norm
+
+
 def test_init_schedule_values():
     sched = init_schedule(0.1, 0.2, 1.0, 100.0, 2, 3, Constants(), 5.0)
     lv = sched.level(0)

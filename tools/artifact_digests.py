@@ -14,8 +14,12 @@ rounds of the largest step, ``verify`` on that base config with
 2,049 matrices and every length's class products form one large stack in
 ``tower.verify_windows``, ``decay`` on its spectra base config with a seeded
 random 4,096-letter sample word (a factor set of about 3,200 words, where
-the shipped Fibonacci config has 14), and one run each of ``tower``,
-``words``, ``spectrum`` and every ``measure`` op.  Each goes through
+the shipped Fibonacci config has 14), ``tower`` on the shipped λ = 400
+config with the silver-mean rules a → aab, b → a and b = 200, the one run
+whose marker bound C (``tower.critical_matrix_bound``, runs of up to three
+marker letters) is set by a derivative norm, ||d/dE C^3||, rather than by a
+power's norm, and one run each of ``tower``, ``words``, ``spectrum`` and
+every ``measure`` op.  Each goes through
 ``cli.dispatch`` into its own directory under one temporary directory;
 measure inputs are referenced by relative path, so every digest is
 independent of where the temporary directory lives.  Output is one
@@ -79,6 +83,10 @@ def runs() -> list[tuple[str, str, dict]]:
         ("adz", "adz", shipped("acceptance_adz.json")),
         ("tower400", "tower", lam400),
     ]
+    silver = copy.deepcopy(lam400)
+    silver["subshift"]["rules"] = {"a": "aab", "b": "a"}
+    silver["potential"]["b"] = 200.0
+    out.append(("tower_silver200", "tower", silver))
     spec = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
     for b in (163.4, 287.1, 500.0):
         raw = copy.deepcopy(spec["workloads"]["tower-bisect"]["base_config"])
