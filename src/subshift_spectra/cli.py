@@ -177,31 +177,6 @@ def read_intervals_csv(path: Path) -> IntervalSet:
 # ---------------------------------------------------------------------------
 # Config parsing
 
-#: every key some command reads; any other key is rejected as a typo
-TOP_KEYS = frozenset(
-    {
-        "seed", "gamma", "gamma_prime", "c", "grid", "refine_tol", "H", "cone_gap",
-        "cone_eps", "P", "C", "C_prime", "C2", "c_slack", "K_max", "potential",
-    }
-)
-SECTION_KEYS = {
-    "subshift": {"kind", "word", "rules", "seed_letter", "stages"},
-    "words": {"sample_len", "complexity_lengths", "alphabet"},
-    "spectrum": {"word"},
-    "measure": {"op", "x", "y"},
-    "decay": {"lam_list", "factor_len", "e0_letter", "sample_len"},
-    "adz": {
-        "k", "eps", "stages", "n_cap", "n_floor", "max_word_len", "complexity_l_max",
-        "complexity_sample_len",
-    },
-    "tower": {
-        "alpha0", "levels", "sample_len", "approx_len", "approx_sample_len",
-        "accel_energies", "accel_r_max", "covering_max_residue_fraction",
-    },
-    "suite": {"trials", "c0", "lam_floors"},
-}
-
-
 def _as(kind, value):
     """``kind(value)``, where ``str`` takes only a JSON string, ``int`` only a
     JSON integer and ``float`` only a JSON number: nothing is coerced."""
@@ -249,6 +224,64 @@ def _dict_of(kind):
     return convert
 
 
+def _or_null(kind):
+    """Converter that keeps null and converts any other value by ``kind``."""
+    return lambda value: None if value is None else _as(kind, value)
+
+
+#: every key some command reads (any other is rejected as a typo), mapped to
+#: ``(converter, default)``, or to ``(converter,)`` when the key is required, may
+#: be null, or feeds a library parameter that has a default.  A key of the last
+#: kind is passed only when the config sets it (``RunConfig.given``), so the default
+#: of ``Constants``, ``tower_pipeline``, ``decay_sweep`` or ``adz_construct`` holds.
+#: A ``None`` converter marks a key that its command reads and checks itself.
+KEYS = {
+    "seed": (_bound(int, ">=", 0), 20260809),
+    "gamma": (float, 0.1), "gamma_prime": (float, 0.2), "c": (float, 1.0),
+    "grid": (int,), "refine_tol": (_bound(float, ">", 0.0),),
+    # H <= 1e4 keeps the marker bound's analytic cap max_run (2 + H)^max_run finite
+    # for runs up to the default K_max; C bounds SL(2, R) norms, which are >= 1
+    "H": (_bound(float, ">", 0.0, 1e4),), "C": (_or_null(_bound(float, ">=", 1.0)),),
+    "cone_gap": (float,), "cone_eps": (float,), "P": (int,), "C_prime": (float,),
+    "C2": (float,), "c_slack": (float,), "K_max": (int,),
+    "subshift.kind": (None,), "subshift.word": (str,), "subshift.rules": (_dict_of(str),),
+    "subshift.seed_letter": (str,), "subshift.stages": (_list_of(_list_of(str)),),
+    "words.sample_len": (int, 1024), "words.alphabet": (_or_null(_list_of(str)),),
+    "words.complexity_lengths": (_list_of(int), [1, 2, 4, 8, 16]),
+    "spectrum.word": (str, ""),
+    "measure.op": (str, ""), "measure.x": (None,), "measure.y": (None,),
+    "decay.lam_list": (_list_of(_bound(float, ">", 0.0)),), "decay.factor_len": (int, 13),
+    "decay.e0_letter": (str, "a"), "decay.sample_len": (int,),
+    "adz.k": (int, 2), "adz.eps": (float, 0.5), "adz.stages": (int, 3), "adz.n_cap": (int, 10000),
+    "adz.n_floor": (int,), "adz.max_word_len": (int,), "adz.complexity_l_max": (int,),
+    "adz.complexity_sample_len": (int, 8192),
+    "tower.alpha0": (str, "a"), "tower.levels": (int,), "tower.sample_len": (int,),
+    "tower.approx_len": (int,), "tower.approx_sample_len": (int,),
+    "tower.accel_energies": (int,), "tower.accel_r_max": (int,),
+    "tower.covering_max_residue_fraction": (_bound(float, ">=", 0.0), 1e-3),
+    # the suite's matrix entries reach c0 (100 floor)^2 and its growth ratios
+    # floor^-4: inside these ranges both stay finite
+    "suite.trials": (int, 10000), "suite.c0": (_bound(float, ">=", 1.0, 1e4), 10.0),
+    "suite.lam_floors": (_list_of(_bound(float, ">=", 1e-50, 1e150)), [1000.0]),
+}
+_SECTIONED = [path.split(".") for path in KEYS if "." in path]
+# a potential's keys are its letters, each read as a float by RunConfig.potential
+TOP_KEYS = frozenset({"potential", *(path for path in KEYS if "." not in path)})
+SECTION_KEYS = {name: {k for s, k in _SECTIONED if s == name} for name, _ in _SECTIONED}
+
+
+def _convert(path: str, kind, value):
+    """``_as(kind, value)`` for the config value at ``path``; a value ``kind``
+    rejects is a ``ConfigError`` that names ``path``."""
+    try:
+        return _as(kind, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        problem = "is missing or null" if value is None else f"has the wrong type: {value!r}"
+        if isinstance(exc, (OverflowError, ConfigError)):
+            problem = f"is out of range: {exc}"
+        raise ConfigError(f"config value {path!r} {problem}") from exc
+
+
 def _reject_unknown(obj: dict, known, where: str) -> None:
     unknown = sorted(set(obj) - set(known))
     if unknown:
@@ -268,37 +301,32 @@ class RunConfig:
                     raise ConfigError(f"config section {name!r} must be an object")
                 _reject_unknown(raw[name], known, f"config section {name!r}")
         self.raw = raw
-        self.seed = self.get("seed", int, 20260809)
-        self.gamma = self.get("gamma", float, 0.1)
-        self.gamma_prime = self.get("gamma_prime", float, 0.2)
-        self.c = self.get("c", float, 1.0)
-        self.grid = self.get("grid", int, 2049)
-        self.refine_tol = self.get("refine_tol", _bound(float, ">", 0.0), 1e-7)
+        self.seed = self.get("seed")
+        self.gamma = self.get("gamma")
+        self.gamma_prime = self.get("gamma_prime")
+        self.c = self.get("c")
+        self.resolution = self.given("grid", "refine_tol")
         self.consts = Constants(
-            H=self.get("H", _bound(float, ">", 0.0), 3.0),
-            cone_gap=self.get("cone_gap", float, 3.0),
-            cone_eps=self.get("cone_eps", float, 0.5),
-            P=self.get("P", int, 3),
-            C=None if raw.get("C") is None else self.get("C", float),
-            C_prime=self.get("C_prime", float, 0.1),
-            C2=self.get("C2", float, 1.0),
-            c_slack=self.get("c_slack", float, 100.0),
-            K_max=self.get("K_max", int, 64),
+            **self.given("H", "cone_gap", "cone_eps", "P", "C", "C_prime", "C2", "c_slack", "K_max")
         )
 
-    def get(self, path: str, kind, default=None):
-        """``kind(value)`` of the value at ``key`` or ``section.key``, or of
-        ``default`` when it is absent; a value ``kind`` rejects is a
-        ``ConfigError`` that names the key."""
+    def get(self, path: str):
+        """Value at ``key`` or ``section.key``, or its default when absent, by its
+        ``KEYS`` converter; a value the converter rejects is a ``ConfigError``."""
         *section, key = path.split(".", 1)
-        value = (self.raw.get(section[0], {}) if section else self.raw).get(key, default)
-        try:
-            return _as(kind, value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            problem = "is missing or null" if value is None else f"has the wrong type: {value!r}"
-            if isinstance(exc, (OverflowError, ConfigError)):
-                problem = f"is out of range: {exc}"
-            raise ConfigError(f"config value {path!r} {problem}") from exc
+        kind, *default = KEYS[path]
+        sec = self.raw.get(section[0], {}) if section else self.raw
+        return _convert(path, kind, sec.get(key, *default))
+
+    def given(self, *paths: str) -> dict:
+        """``{key: get(path)}`` over the ``paths`` that the config sets, as
+        keywords of a library call whose defaults hold for the others."""
+        out = {}
+        for path in paths:
+            *section, key = path.split(".", 1)
+            if key in (self.raw.get(section[0], {}) if section else self.raw):
+                out[key] = self.get(path)
+        return out
 
     def section(self, name: str) -> dict:
         sec = self.raw.get(name)
@@ -311,7 +339,7 @@ class RunConfig:
         if not isinstance(sec, dict) or not sec:
             raise ConfigError("config needs a 'potential' object of letter -> value")
         try:
-            return Potential({str(k): self.get(f"potential.{k}", float) for k in sec})
+            return Potential({str(k): _convert(f"potential.{k}", float, v) for k, v in sec.items()})
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -322,14 +350,13 @@ class RunConfig:
         kind = sec.get("kind")
         try:
             if kind == "periodic":
-                return Periodic(self.get("subshift.word", str))
+                return Periodic(self.get("subshift.word"))
             if kind == "substitution":
-                rules = self.get("subshift.rules", _dict_of(str))
-                return Substitution(rules, self.get("subshift.seed_letter", str))
+                return Substitution(self.get("subshift.rules"), self.get("subshift.seed_letter"))
             if kind == "adz_stages":
-                return AdzStages(self.get("subshift.stages", _list_of(_list_of(str))))
+                return AdzStages(self.get("subshift.stages"))
             if kind == "sample":
-                return Sample(self.get("subshift.word", str))
+                return Sample(self.get("subshift.word"))
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -427,13 +454,11 @@ def _write_tower(out: Path, res: TowerResult, meta: dict) -> None:
 
 
 def _run_words(cfg: RunConfig, out: Path, log) -> int:
-    sec = cfg.section("words")
+    cfg.section("words")
     spec = cfg.subshift()
-    sample_len = cfg.get("words.sample_len", int, 1024)
-    lengths = cfg.get("words.complexity_lengths", _list_of(int), [1, 2, 4, 8, 16])
-    alphabet = sec.get("alphabet")
-    if alphabet is not None:
-        alphabet = cfg.get("words.alphabet", _list_of(str))
+    sample_len = cfg.get("words.sample_len")
+    lengths = cfg.get("words.complexity_lengths")
+    alphabet = cfg.get("words.alphabet")
     # compute everything before writing, so a rejected length leaves no artifact
     sample = sample_word(spec, sample_len)
     rows = [[n, complexity(spec, n, sample_len)] for n in lengths]
@@ -447,7 +472,7 @@ def _run_words(cfg: RunConfig, out: Path, log) -> int:
 
 def _run_spectrum(cfg: RunConfig, out: Path, log) -> int:
     cfg.section("spectrum")
-    word = cfg.get("spectrum.word", str, "")
+    word = cfg.get("spectrum.word")
     if not word:
         raise ConfigError("spectrum.word is required")
     pot = cfg.potential()
@@ -473,7 +498,7 @@ def _read_set(sec: dict, key: str) -> IntervalSet:
 
 def _run_measure(cfg: RunConfig, out: Path, log) -> int:
     sec = cfg.section("measure")
-    op = cfg.get("measure.op", str, "")
+    op = cfg.get("measure.op")
     x = _read_set(sec, "x")
     y = sec.get("y")
     if op in ("union", "intersect", "difference", "subset"):
@@ -495,16 +520,9 @@ def _run_measure(cfg: RunConfig, out: Path, log) -> int:
 
 def _run_decay(cfg: RunConfig, out: Path, log) -> int:
     cfg.section("decay")
-    spec = cfg.subshift()
-    v_base = cfg.potential()
     table = decay_sweep(
-        spec,
-        v_base,
-        cfg.get("decay.lam_list", _list_of(_bound(float, ">", 0.0))),
-        cfg.get("decay.factor_len", int, 13),
-        cfg.get("decay.e0_letter", str, "a"),
-        float(cfg.consts.H),
-        cfg.get("decay.sample_len", int, 4096),
+        cfg.subshift(), cfg.potential(), cfg.get("decay.lam_list"), cfg.get("decay.factor_len"),
+        cfg.get("decay.e0_letter"), float(cfg.consts.H), **cfg.given("decay.sample_len"),
     )
     rows = [[r.lam, r.factor_len, r.measure] for r in table.rows]
     write_csv(out / "decay.csv", ["lam", "factor_len", "measure"], rows)
@@ -517,21 +535,14 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
     sec = cfg.section("adz")
     pot = cfg.potential()
     run = adz_construct(
-        cfg.get("adz.k", int, 2),
-        cfg.get("adz.eps", float, 0.5),
-        pot,
-        cfg.get("adz.stages", int, 3),
-        cfg.get("adz.n_cap", int, 10000),
-        cfg.get("adz.n_floor", int, 1),
-        cfg.get("adz.max_word_len", int, 2048),
+        cfg.get("adz.k"), cfg.get("adz.eps"), pot, cfg.get("adz.stages"), cfg.get("adz.n_cap"),
+        **cfg.given("adz.n_floor", "adz.max_word_len"),
     )
     growth = None
     if "complexity_l_max" in sec:
         growth = complexity_growth_check(
-            run,
-            cfg.get("adz.eps", float, 0.5),
-            cfg.get("adz.complexity_l_max", int),
-            cfg.get("adz.complexity_sample_len", int, 8192),
+            run, cfg.get("adz.eps"), cfg.get("adz.complexity_l_max"),
+            cfg.get("adz.complexity_sample_len"),
         )
     for st in run.stages:
         (out / f"stage_{st.index}.txt").write_text(
@@ -578,21 +589,13 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
 def _tower_result(cfg: RunConfig) -> TowerResult:
     cfg.section("tower")
     return tower_pipeline(
-        cfg.subshift(),
-        cfg.potential(),
-        cfg.get("tower.alpha0", str, "a"),
-        gamma=cfg.gamma,
-        gamma_prime=cfg.gamma_prime,
-        c=cfg.c,
-        consts=cfg.consts,
-        levels=cfg.get("tower.levels", int, 1),
-        sample_len=cfg.get("tower.sample_len", int, 650),
-        grid=cfg.grid,
-        refine_tol=cfg.refine_tol,
-        approx_len=cfg.get("tower.approx_len", int, 13),
-        approx_sample_len=cfg.get("tower.approx_sample_len", int, 1024),
-        accel_energies=cfg.get("tower.accel_energies", int, 64),
-        accel_r_max=cfg.get("tower.accel_r_max", int, 5),
+        cfg.subshift(), cfg.potential(), cfg.get("tower.alpha0"),
+        gamma=cfg.gamma, gamma_prime=cfg.gamma_prime, c=cfg.c, consts=cfg.consts,
+        **cfg.resolution,
+        **cfg.given(
+            "tower.levels", "tower.sample_len", "tower.approx_len", "tower.approx_sample_len",
+            "tower.accel_energies", "tower.accel_r_max",
+        ),
     )
 
 
@@ -608,15 +611,12 @@ def _run_tower(cfg: RunConfig, out: Path, log) -> int:
 
 
 def _run_verify(cfg: RunConfig, out: Path, log) -> int:
-    cfg.get("tower.levels", _bound(int, ">=", 1), 1)  # verify checks level 1
-    max_residue = cfg.get("tower.covering_max_residue_fraction", _bound(float, ">=", 0.0), 1e-3)
-    # the suite's matrix entries reach c0 (100 floor)^2 and its growth ratios
-    # floor^-4: inside these ranges both stay finite
-    trials = cfg.get("suite.trials", int, 10000)
-    c0 = cfg.get("suite.c0", _bound(float, ">=", 1.0, 1e4), 10.0)
-    floors = cfg.get("suite.lam_floors", _list_of(_bound(float, ">=", 1e-50, 1e150)), [1000.0])
+    if cfg.given("tower.levels"):  # verify checks level 1, the library default
+        _convert("tower.levels", _bound(int, ">=", 1), cfg.get("tower.levels"))
+    max_residue = cfg.get("tower.covering_max_residue_fraction")
+    suite_args = cfg.get("suite.trials"), cfg.get("suite.c0"), cfg.get("suite.lam_floors")
     res = _tower_result(cfg)
-    suite = scaled_product_suite(trials, c0, floors, cfg.seed, cfg.consts.c_slack)
+    suite = scaled_product_suite(*suite_args, cfg.seed, cfg.consts.c_slack)
     meta = _meta(cfg)
     _write_tower(out, res, meta)
     accel = res.accel
@@ -687,7 +687,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.raw["seed"] = args.seed
-            cfg.seed = args.seed
+            cfg.seed = cfg.get("seed")
         return dispatch(args.command, cfg, args.out, args.quiet)
     except (ValueError, UnknownLetterError) as exc:
         prefix = "" if isinstance(exc, CouplingTooSmallError) else "configuration error: "

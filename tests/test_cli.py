@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from subshift_spectra import IntervalSet
 from subshift_spectra.cli import (
+    KEYS,
     ConfigError,
     RunConfig,
     _record,
@@ -24,7 +26,8 @@ from subshift_spectra.cli import (
     main,
     read_intervals_csv,
 )
-from subshift_spectra.experiments import scaled_product_suite
+from subshift_spectra.experiments import adz_construct, decay_sweep, scaled_product_suite
+from subshift_spectra.tower import Constants, tower_pipeline
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -192,19 +195,54 @@ def test_adz_command_and_determinism(tmp_path):
     assert report["stages"][0]["chosen_N"] is not None
 
 
-def test_adz_n_floor_defaults_to_the_library_floor(tmp_path):
-    # without n_floor the shipped adz config searches N from 1, as
-    # experiments.adz_construct does, and writes the same stages
-    payload = json.loads((CONFIGS / "acceptance_adz.json").read_text())
-    assert payload["adz"]["n_floor"] == 1
-    code1, out1 = run(tmp_path, "adz", payload, out="with")
-    del payload["adz"]["n_floor"]
-    code2, out2 = run(tmp_path, "adz", payload, out="without")
+#: every config key that feeds a library parameter with a default -> its owner
+LIBRARY_DEFAULTED = {
+    **dict.fromkeys(
+        ["H", "cone_gap", "cone_eps", "P", "C", "C_prime", "C2", "c_slack", "K_max"], Constants
+    ),
+    **dict.fromkeys(
+        [
+            "grid", "refine_tol", "tower.levels", "tower.sample_len", "tower.approx_len",
+            "tower.approx_sample_len", "tower.accel_energies", "tower.accel_r_max",
+        ],
+        tower_pipeline,
+    ),
+    "decay.sample_len": decay_sweep,
+    "adz.n_floor": adz_construct,
+    "adz.max_word_len": adz_construct,
+}
+
+
+@pytest.mark.parametrize("command", ["tower", "verify", "decay", "adz"])
+def test_absent_key_takes_the_library_default(tmp_path, command):
+    # the shipped config sets every library-defaulted key it has to the
+    # library's own default (adz.n_floor to adz_construct's floor of 1, ...),
+    # and the CLI restates none of them: without those keys the run writes the
+    # same artifacts
+    assert all(len(KEYS[key]) == 1 for key in LIBRARY_DEFAULTED)
+    full = json.loads((CONFIGS / MISTAKE_BASES[command]).read_text())
+    bare = copy.deepcopy(full)
+    dropped = []
+    for key, owner in LIBRARY_DEFAULTED.items():
+        *section, name = key.split(".")
+        holder = bare.get(section[0], {}) if section else bare
+        if name in holder:
+            assert holder.pop(name) == inspect.signature(owner).parameters[name].default, key
+            dropped.append(key)
+    assert dropped
+    code1, out1 = run(tmp_path, command, full, out="full")
+    code2, out2 = run(tmp_path, command, bare, out="bare")
     assert code1 == code2 == 0
-    names = ["adz.csv", "stage_1.txt", "stage_2.txt", "stage_3.txt"]
-    assert sorted(p.name for p in out2.glob("stage_*.txt")) == names[1:]
+    names = sorted(p.name for p in out1.iterdir())
+    assert names and names == sorted(p.name for p in out2.iterdir())
     for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        if name.endswith(".json"):
+            a, b = (json.loads((out / name).read_text()) for out in (out1, out2))
+            for d in (a, b):
+                del d["config"], d["config_sha256"]
+            assert a == b, name
+        else:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_adz_failure_exit_code(tmp_path):
@@ -273,6 +311,19 @@ def test_seed_override(tmp_path):
                  "--seed", "42", "--quiet"]) == 0
     report = json.loads((tmp_path / "s1" / "spectrum.json").read_text())
     assert report["seed"] == 42
+
+
+def test_seed_override_out_of_range_is_rejected(tmp_path, capsys):
+    # --seed goes through the config key's converter: a negative seed is named
+    payload = {"potential": {"a": 0.0}, "spectrum": {"word": "a"}, "seed": 1}
+    cfg_path = write_config(tmp_path, payload)
+    code = main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--seed", "-1", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: config value 'seed' is out of range")
+    assert not list((tmp_path / "o").rglob("*"))  # no artifact
 
 
 def test_config_validation():
@@ -490,6 +541,11 @@ OUT_OF_RANGE_NUMBERS = [
     ("decay", "H", 0),
     ("verify", "H", 0),
     ("decay", "H", -1),
+    ("verify", "H", 1e200),
+    ("decay", "H", 2e4),
+    ("verify", "C", 0),
+    ("verify", "C", -2),
+    ("tower", "seed", -1),
     ("verify", "refine_tol", 0),
     ("verify", "suite.lam_floors", []),
     ("verify", "suite.lam_floors", [0.0]),
