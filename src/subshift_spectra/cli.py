@@ -255,7 +255,8 @@ KEYS = {
     "adz.k": (int, 2), "adz.eps": (float, 0.5), "adz.stages": (int, 3), "adz.n_cap": (int, 10000),
     "adz.n_floor": (int,), "adz.max_word_len": (int,), "adz.complexity_l_max": (int,),
     "adz.complexity_sample_len": (int, 8192),
-    "tower.alpha0": (str, "a"), "tower.levels": (int,), "tower.sample_len": (int,),
+    # tower_pipeline checks acceleration at level 1, so it needs one level at least
+    "tower.alpha0": (str, "a"), "tower.levels": (_bound(int, ">=", 1),), "tower.sample_len": (int,),
     "tower.approx_len": (int,), "tower.approx_sample_len": (int,),
     "tower.accel_energies": (int,), "tower.accel_r_max": (int,),
     "tower.covering_max_residue_fraction": (_bound(float, ">=", 0.0), 1e-3),
@@ -396,11 +397,11 @@ def _meta(cfg: RunConfig) -> dict:
     }
 
 
-def _write_tower(out: Path, res: TowerResult, meta: dict) -> None:
-    """Write the artifacts of the ``tower`` command, each with ``meta``."""
+def _tower_artifacts(res: TowerResult, checks: list) -> dict:
+    """``tower``'s artifacts, which ``verify`` also writes; ``checks`` are the schedule's."""
     sched = res.schedule
-    records = {
-        "structure": _record(
+    return {
+        "structure.json": _record(
             res.structure,
             omit=("sample", "first_start"),
             levels={
@@ -415,7 +416,7 @@ def _write_tower(out: Path, res: TowerResult, meta: dict) -> None:
                 for lv in res.structure.levels
             },
         ),
-        "schedule": _record(
+        "schedule.json": _record(
             sched,
             rename={"c_value": "C"},
             omit=("consts",),
@@ -432,10 +433,10 @@ def _write_tower(out: Path, res: TowerResult, meta: dict) -> None:
                 )
                 for lv in sched.levels
             },
-            checks=sched.check_invariants(),
+            checks=checks,
         ),
         **{
-            f"exclusion_level_{r.level}": _record(
+            f"exclusion_level_{r.level}.json": _record(
                 r,
                 rename={"j_set": "Jn", "c1_hat": "C1_hat", "c5_hat": "C5_hat"},
                 triples=[_record(t, measure=t.measure) for t in r.triples],
@@ -443,48 +444,44 @@ def _write_tower(out: Path, res: TowerResult, meta: dict) -> None:
             )
             for r in res.exclusions
         },
+        "jbar.csv": res.jbar,
     }
-    for stem, d in records.items():
-        write_json(out / f"{stem}.json", {**d, **meta})
-    intervals_csv(out / "jbar.csv", res.jbar)
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations: each maps a config to (exit code, artifacts, log
+# line), where artifacts maps a file name to a record (.json), an interval set
+# or a (header, rows) pair (.csv), or a text (.txt)
 
 
-def _run_words(cfg: RunConfig, out: Path, log) -> int:
+def _run_words(cfg: RunConfig) -> tuple[int, dict, str]:
     cfg.section("words")
     spec = cfg.subshift()
     sample_len = cfg.get("words.sample_len")
     lengths = cfg.get("words.complexity_lengths")
     alphabet = cfg.get("words.alphabet")
-    # compute everything before writing, so a rejected length leaves no artifact
     sample = sample_word(spec, sample_len)
     rows = [[n, complexity(spec, n, sample_len)] for n in lengths]
-    stats = run_stats(spec, sample_len, alphabet)
-    (out / "sample.txt").write_text(sample + "\n", encoding="utf-8", newline="\n")
-    write_csv(out / "complexity.csv", ["n", "p"], rows)
-    write_json(out / "run_stats.json", {**_record(stats), **_meta(cfg)})
-    log(f"words: sample of {sample_len} letters, p({lengths[-1]}) = {rows[-1][1]}")
-    return 0
+    artifacts = {
+        "sample.txt": sample + "\n",
+        "complexity.csv": (["n", "p"], rows),
+        "run_stats.json": _record(run_stats(spec, sample_len, alphabet)),
+    }
+    return 0, artifacts, f"words: sample of {sample_len} letters, p({lengths[-1]}) = {rows[-1][1]}"
 
 
-def _run_spectrum(cfg: RunConfig, out: Path, log) -> int:
+def _run_spectrum(cfg: RunConfig) -> tuple[int, dict, str]:
     cfg.section("spectrum")
     word = cfg.get("spectrum.word")
     if not word:
         raise ConfigError("spectrum.word is required")
-    pot = cfg.potential()
-    bands = periodic_bands(word, pot)
-    intervals_csv(out / "bands.csv", bands)
+    bands = periodic_bands(word, cfg.potential())
     edges = [x for pair in bands for x in pair]
-    write_json(
-        out / "spectrum.json",
-        {"word": word, "edges": edges, "measure": bands.measure, **_meta(cfg)},
-    )
-    log(f"spectrum: {len(bands)} band(s), measure {bands.measure:.6g}")
-    return 0
+    artifacts = {
+        "bands.csv": bands,
+        "spectrum.json": {"word": word, "edges": edges, "measure": bands.measure},
+    }
+    return 0, artifacts, f"spectrum: {len(bands)} band(s), measure {bands.measure:.6g}"
 
 
 def _read_set(sec: dict, key: str) -> IntervalSet:
@@ -496,7 +493,7 @@ def _read_set(sec: dict, key: str) -> IntervalSet:
         raise ConfigError(f"measure.{key}: cannot read an interval CSV: {exc}") from exc
 
 
-def _run_measure(cfg: RunConfig, out: Path, log) -> int:
+def _run_measure(cfg: RunConfig) -> tuple[int, dict, str]:
     sec = cfg.section("measure")
     op = cfg.get("measure.op")
     x = _read_set(sec, "x")
@@ -507,31 +504,31 @@ def _run_measure(cfg: RunConfig, out: Path, log) -> int:
         result = interval_algebra(op, x, y)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"measure: {exc}") from exc
-    payload = {"op": op, **_meta(cfg)}
-    if isinstance(result, IntervalSet):
-        intervals_csv(out / "result.csv", result)
-        payload.update({"intervals": result, "measure": result.measure})
-    else:
-        payload["result"] = result
-    write_json(out / "result.json", payload)
-    log(f"measure: {op} -> {payload.get('measure', payload.get('result'))}")
-    return 0
+    if not isinstance(result, IntervalSet):
+        return 0, {"result.json": {"op": op, "result": result}}, f"measure: {op} -> {result}"
+    artifacts = {
+        "result.csv": result,
+        "result.json": {"op": op, "intervals": result, "measure": result.measure},
+    }
+    return 0, artifacts, f"measure: {op} -> {result.measure}"
 
 
-def _run_decay(cfg: RunConfig, out: Path, log) -> int:
+def _run_decay(cfg: RunConfig) -> tuple[int, dict, str]:
     cfg.section("decay")
     table = decay_sweep(
         cfg.subshift(), cfg.potential(), cfg.get("decay.lam_list"), cfg.get("decay.factor_len"),
         cfg.get("decay.e0_letter"), float(cfg.consts.H), **cfg.given("decay.sample_len"),
     )
     rows = [[r.lam, r.factor_len, r.measure] for r in table.rows]
-    write_csv(out / "decay.csv", ["lam", "factor_len", "measure"], rows)
-    write_json(out / "decay.json", {**_record(table, rename={"h": "H"}), **_meta(cfg)})
-    log(f"decay: measures {[f'{m:.3e}' for m in table.measures]}, gamma_hat={table.gamma_hat}")
-    return 0
+    artifacts = {
+        "decay.csv": (["lam", "factor_len", "measure"], rows),
+        "decay.json": _record(table, rename={"h": "H"}),
+    }
+    line = f"decay: measures {[f'{m:.3e}' for m in table.measures]}, gamma_hat={table.gamma_hat}"
+    return 0, artifacts, line
 
 
-def _run_adz(cfg: RunConfig, out: Path, log) -> int:
+def _run_adz(cfg: RunConfig) -> tuple[int, dict, str]:
     sec = cfg.section("adz")
     pot = cfg.potential()
     run = adz_construct(
@@ -544,10 +541,7 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
             run, cfg.get("adz.eps"), cfg.get("adz.complexity_l_max"),
             cfg.get("adz.complexity_sample_len"),
         )
-    for st in run.stages:
-        (out / f"stage_{st.index}.txt").write_text(
-            "\n".join(st.words) + "\n", encoding="utf-8", newline="\n"
-        )
+    artifacts = {f"stage_{st.index}.txt": "\n".join(st.words) + "\n" for st in run.stages}
     stages = [
         _record(
             st,
@@ -559,12 +553,11 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
         for st in run.stages
     ]
     columns = ["index", "n_words", "max_word_len", "band_measure", "chosen_N", "deficit", "budget"]
-    write_csv(
-        out / "adz.csv",
+    artifacts["adz.csv"] = (
         ["stage", *columns[1:]],
         [["" if st[k] is None else st[k] for k in columns] for st in stages],
     )
-    d = _record(
+    report = artifacts["adz.json"] = _record(
         run,
         omit=("pot", "searched"),
         potential=run.pot.values,
@@ -572,18 +565,17 @@ def _run_adz(cfg: RunConfig, out: Path, log) -> int:
         search_trace=[{"stage": s, "N": n, "deficit": d} for s, n, d in run.searched],
     )
     if growth is not None:
-        d["complexity"] = _record(
+        report["complexity"] = _record(
             growth,
             rename={"c_hat": "C_hat"},
             rows=[{"L": L, "p": p, "bound": b} for L, p, b in growth.rows],
         )
-    write_json(out / "adz.json", {**d, **_meta(cfg)})
-    log(
+    line = (
         f"adz: {len(run.stages)} stages, final measure {run.final_measure:.6g} "
         f"(half of stage 1: {0.5 * run.sigma1_measure:.6g})"
     )
     ok = run.retained_half and (growth is None or growth.within_bound)
-    return 0 if ok else 1
+    return 0 if ok else 1, artifacts, line
 
 
 def _tower_result(cfg: RunConfig) -> TowerResult:
@@ -599,47 +591,44 @@ def _tower_result(cfg: RunConfig) -> TowerResult:
     )
 
 
-def _run_tower(cfg: RunConfig, out: Path, log) -> int:
+def _run_tower(cfg: RunConfig) -> tuple[int, dict, str]:
     res = _tower_result(cfg)
-    _write_tower(out, res, _meta(cfg))
-    required_fails = [c for c in res.schedule.failed_checks() if c.required]
-    log(
+    checks = res.schedule.check_invariants()
+    required_fails = [c for c in checks if c.required and not c.ok]
+    line = (
         f"tower: {len(res.schedule.levels)} levels, Jbar measure {res.jbar.measure:.6g}, "
         f"{len(required_fails)} required check failure(s)"
     )
-    return 1 if required_fails else 0
+    return 1 if required_fails else 0, _tower_artifacts(res, checks), line
 
 
-def _run_verify(cfg: RunConfig, out: Path, log) -> int:
-    if cfg.given("tower.levels"):  # verify checks level 1, the library default
-        _convert("tower.levels", _bound(int, ">=", 1), cfg.get("tower.levels"))
+def _run_verify(cfg: RunConfig) -> tuple[int, dict, str]:
     max_residue = cfg.get("tower.covering_max_residue_fraction")
     suite_args = cfg.get("suite.trials"), cfg.get("suite.c0"), cfg.get("suite.lam_floors")
     res = _tower_result(cfg)
     suite = scaled_product_suite(*suite_args, cfg.seed, cfg.consts.c_slack)
-    meta = _meta(cfg)
-    _write_tower(out, res, meta)
+    checks = res.schedule.check_invariants()
     accel = res.accel
-    accel_d = _record(accel, n_energies=len(accel.energies), all_passed=accel.all_passed)
-    write_json(out / "acceleration.json", {**accel_d, **meta})
-    write_json(out / "covering.json", {**_record(res.covering, interval=res.interval), **meta})
-    suite_d = _record(suite, rename={"c0": "C0"}, all_passed=suite.all_passed)
-    write_json(out / "suite.json", {**suite_d, **meta})
-
-    required_fails = [c for c in res.schedule.failed_checks() if c.required]
+    artifacts = {
+        **_tower_artifacts(res, checks),
+        "acceleration.json": _record(
+            accel, n_energies=len(accel.energies), all_passed=accel.all_passed
+        ),
+        "covering.json": _record(res.covering, interval=res.interval),
+        "suite.json": _record(suite, rename={"c0": "C0"}, all_passed=suite.all_passed),
+    }
     ok = (
-        not required_fails
-        and res.accel.all_passed
+        not any(c.required and not c.ok for c in checks)
+        and accel.all_passed
         and suite.all_passed
         and res.covering.residue_fraction <= max_residue
     )
-    log(
-        "verify: "
-        f"accel {'ok' if res.accel.all_passed else 'FAIL'}, "
+    line = (
+        f"verify: accel {'ok' if accel.all_passed else 'FAIL'}, "
         f"covering residue_fraction {res.covering.residue_fraction:.3e}, "
         f"suite {'ok' if suite.all_passed else 'FAIL'}"
     )
-    return 0 if ok else 1
+    return 0 if ok else 1, artifacts, line
 
 
 RUNNERS = {
@@ -658,17 +647,26 @@ RUNNERS = {
 
 
 def dispatch(command: str, cfg: RunConfig, out_dir: str | Path, quiet: bool = False) -> int:
-    """Run one command against a parsed config, writing artifacts to ``out_dir``."""
+    """Run one command against a parsed config, then write its artifacts to
+    ``out_dir``: a command that raises writes none."""
     if command not in RUNNERS:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def log(msg: str) -> None:
-        if not quiet:
-            print(msg)
-
-    return RUNNERS[command](cfg, out, log)
+    code, artifacts, line = RUNNERS[command](cfg)
+    meta = _meta(cfg)
+    for name, content in artifacts.items():
+        if name.endswith(".json"):
+            write_json(out / name, {**content, **meta})
+        elif isinstance(content, IntervalSet):
+            intervals_csv(out / name, content)
+        elif name.endswith(".csv"):
+            write_csv(out / name, *content)
+        else:
+            (out / name).write_text(content, encoding="utf-8", newline="\n")
+    if not quiet:
+        print(line)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

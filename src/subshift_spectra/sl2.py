@@ -218,7 +218,7 @@ class SvdAngles:
         )
 
 
-def svd_angles(m: Mat2, hyper_tol: float = HYPER_TOL) -> SvdAngles:
+def svd_angles(m: Mat2) -> SvdAngles:
     """Split a hyperbolic matrix as R_u . diag(lam, 1/lam) . R_(pi/2 - s).
 
     Closed form from the symmetric products: ``u`` is the principal-axis
@@ -226,15 +226,13 @@ def svd_angles(m: Mat2, hyper_tol: float = HYPER_TOL) -> SvdAngles:
     well-conditioned top row of R_(-u) A, which keeps the reconstruction
     error at machine scale even near the rotation boundary.
 
-    Raises ``EllipticError`` when the norm is <= 1 + hyper_tol, which is a
+    Raises ``EllipticError`` when the norm is <= 1 + HYPER_TOL, which is a
     rotation for this purpose rather than a numerical failure.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     lam = m.norm
-    if lam <= 1.0 + hyper_tol:
-        raise EllipticError(
-            f"norm {lam!r} <= 1 + {hyper_tol}; rotation-like matrix has no split"
-        )
+    if lam <= 1.0 + HYPER_TOL:
+        raise EllipticError(f"norm {lam!r} <= 1 + {HYPER_TOL}; rotation-like matrix has no split")
     u = 0.5 * math.atan2(2.0 * (a * c + b * d), a * a + b * b - c * c - d * d)
     cu, su = math.cos(u), math.sin(u)
     # top row of R_(-u) A equals lam * (cos w, -sin w)
@@ -245,9 +243,7 @@ def svd_angles(m: Mat2, hyper_tol: float = HYPER_TOL) -> SvdAngles:
     return SvdAngles(u, s, lam)
 
 
-def svd_angles_stack(
-    mats: np.ndarray, hyper_tol: float = HYPER_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def svd_angles_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized split over a (..., 2, 2) stack.
 
     Returns ``(u, s, log_lam, hyperbolic)``; angle entries of non-hyperbolic
@@ -268,7 +264,7 @@ def svd_angles_stack(
     inv2 = 2.0 / (capped * capped)  # 2 / scale^2, exact det = 1 assumed
     root = 0.5 * (np.sqrt(t + inv2) + np.sqrt(np.maximum(t - inv2, 0.0)))
     log_lam = np.log(scale) + np.log(root)
-    hyperbolic = log_lam > math.log1p(hyper_tol)
+    hyperbolic = log_lam > math.log1p(HYPER_TOL)
 
     u = 0.5 * np.arctan2(2.0 * (an * cn + bn * dn), an * an + bn * bn - cn * cn - dn * dn)
     cu, su = np.cos(u), np.sin(u)
@@ -363,26 +359,21 @@ def cone_certificate(
 # Deterministic sample streams for verification suites
 
 
-def random_transfer_products(
-    count: int,
-    seed: int,
-    norm_max: float = 1e6,
-    value_range: tuple[float, float] = (2.0, 10.0),
-    energy_range: tuple[float, float] = (-3.0, 3.0),
-    max_len: int = 30,
-) -> Iterable[Mat2]:
+def random_transfer_products(count: int, seed: int, norm_max: float = 1e6) -> Iterable[Mat2]:
     """Deterministic stream of hyperbolic transfer-matrix products.
 
-    Each product is grown letter by letter and truncated at the last prefix
-    whose norm stays within ``norm_max``; rotation-like results are skipped.
+    Each product is a random a/b word of 1 to 30 letters at an energy in
+    [-3, 3], with V(a) = 0 and V(b) in [2, 10], grown letter by letter and
+    truncated at the last prefix whose norm stays within ``norm_max``;
+    rotation-like results are skipped.
     """
     rng = np.random.default_rng(seed)
     produced = 0
     while produced < count:
-        vb = rng.uniform(*value_range)
-        energy = rng.uniform(*energy_range)
+        vb = rng.uniform(2.0, 10.0)
+        energy = rng.uniform(-3.0, 3.0)
         pot = Potential({"a": 0.0, "b": vb})
-        length = int(rng.integers(1, max_len + 1))
+        length = int(rng.integers(1, 31))
         word = "".join("ab"[int(k)] for k in rng.integers(0, 2, length))
         m = Mat2.IDENTITY
         for ch in word:

@@ -274,9 +274,6 @@ class ParamSchedule:
             )
         return out
 
-    def failed_checks(self) -> list[ScheduleCheck]:
-        return [c for c in self.check_invariants() if not c.ok]
-
 
 def init_schedule(
     gamma: float,

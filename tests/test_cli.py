@@ -302,6 +302,7 @@ def test_verify_core_overflow_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("run failed: level-2 core cocycle of 3271 letters is not finite")
+    assert not list((tmp_path / "o").rglob("*"))  # no artifact
 
 
 def test_seed_override(tmp_path):
@@ -447,7 +448,6 @@ CONFIG_MISTAKES = [
     ("decay", "decay.lam_list", [10, 20], "three couplings"),
     ("tower", "grid", 4, "at least 8 points"),
     ("tower", "tower.sample_len", 30, "level-0 returns"),
-    ("tower", "tower.levels", -1, "levels must be >= 0"),
     ("verify", "gamma_prime", 0.3, "parameter chain violated: need gamma_prime < 1/4"),
     ("tower", "tower.approx_len", 0, "factor length must be >= 1"),
     ("verify", "suite.trials", 0, "at least one trial"),
@@ -558,6 +558,8 @@ OUT_OF_RANGE_NUMBERS = [
     ("verify", "suite.lam_floors", [1e-100]),
     ("verify", "tower.covering_max_residue_fraction", -1),
     ("verify", "tower.levels", 0),
+    ("tower", "tower.levels", -1),
+    ("tower", "tower.levels", 0),
     ("words", "words.complexity_lengths", []),
 ]
 
@@ -777,3 +779,60 @@ def test_artifact_key_contract(tmp_path):
     assert all(set(s) == {"stage", "N", "deficit"} for s in report["search_trace"])
     assert set(report["complexity"]) == {"anchor_len", "C_hat", "exponent", "rows", "within_bound"}
     assert all(set(r) == {"L", "p", "bound"} for r in report["complexity"]["rows"])
+
+    code, out = run(tmp_path, "words", MISTAKE_BASES["words"], out="words")
+    load("run_stats.json", {"max_run", "window"})
+    code, out = run(tmp_path, "spectrum", MISTAKE_BASES["spectrum"], out="spectrum")
+    load("spectrum.json", {"word", "edges", "measure"})
+    (tmp_path / "x.csv").write_text("lo,hi\n0,1\n")
+    (tmp_path / "y.csv").write_text("lo,hi\n0.5,2\n")
+    for op, keys in [("union", {"op", "intervals", "measure"}), ("subset", {"op", "result"})]:
+        measure = {"measure": {"op": op, "x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}}
+        code, out = run(tmp_path, "measure", measure, out=op)
+        load("result.json", keys)
+
+
+SMALL_TOWER = {
+    "grid": 257,
+    "subshift": FIBONACCI_SPEC,
+    "potential": {"a": 0.0, "b": 400.0},
+    "tower": {"alpha0": "a"},
+    "suite": {"trials": 200},
+}
+TOWER_FILES = {
+    "structure.json", "schedule.json", "exclusion_level_0.json", "exclusion_level_1.json",
+    "jbar.csv",
+}
+ARTIFACT_NAMES = [
+    ("words", MISTAKE_BASES["words"], {"sample.txt", "complexity.csv", "run_stats.json"}),
+    ("spectrum", MISTAKE_BASES["spectrum"], {"bands.csv", "spectrum.json"}),
+    ("measure", {"op": "union"}, {"result.csv", "result.json"}),
+    ("measure", {"op": "subset"}, {"result.json"}),
+    ("decay", "acceptance_decay.json", {"decay.csv", "decay.json"}),
+    (
+        "adz",
+        {"potential": {"a": 0.0, "b": 1.0}, "adz": {"k": 2, "eps": 0.5, "stages": 2, "n_cap": 100}},
+        {"stage_1.txt", "stage_2.txt", "adz.csv", "adz.json"},
+    ),
+    ("tower", SMALL_TOWER, TOWER_FILES),
+    ("verify", SMALL_TOWER, TOWER_FILES | {"acceleration.json", "covering.json", "suite.json"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload, names",
+    ARTIFACT_NAMES,
+    ids=["words", "spectrum", "measure-union", "measure-subset", "decay", "adz", "tower", "verify"],
+)
+def test_command_writes_exactly_its_artifacts(tmp_path, command, payload, names):
+    # dispatch writes what the command returns, and nothing else: a measure
+    # whose result is an interval set also writes it as result.csv
+    if isinstance(payload, str):
+        payload = json.loads((CONFIGS / payload).read_text())
+    if command == "measure":
+        (tmp_path / "x.csv").write_text("lo,hi\n0,1\n")
+        (tmp_path / "y.csv").write_text("lo,hi\n-1,2\n")
+        payload = {"measure": {**payload, "x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}}
+    code, out = run(tmp_path, command, payload)
+    assert code == 0
+    assert {str(p.relative_to(out)) for p in out.rglob("*")} == names
