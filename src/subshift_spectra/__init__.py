@@ -10,7 +10,7 @@ from .experiments import (
     elliptic_interval_check,
     scaled_product_suite,
 )
-from .intervals import IntervalSet, interval_algebra
+from .intervals import IntervalSet
 from .sl2 import (
     Mat2,
     SvdAngles,

@@ -24,7 +24,7 @@ from .experiments import (
     decay_sweep,
     scaled_product_suite,
 )
-from .intervals import IntervalSet, interval_algebra
+from .intervals import IntervalSet
 from .tower import Constants, CouplingTooSmallError, TowerResult, tower_pipeline
 from .words import (
     AdzStages,
@@ -38,8 +38,6 @@ from .words import (
     run_stats,
     sample_word,
 )
-
-COMMANDS = ("words", "spectrum", "measure", "decay", "adz", "tower", "verify")
 
 
 class ConfigError(ValueError):
@@ -165,15 +163,6 @@ def intervals_csv(path: Path, iv: IntervalSet) -> None:
     write_csv(path, ["lo", "hi"], [[lo, hi] for lo, hi in iv])
 
 
-def read_intervals_csv(path: Path) -> IntervalSet:
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    pairs = []
-    for line in lines[1:]:  # skip header
-        lo, hi = line.split(",")
-        pairs.append((float(lo), float(hi)))
-    return IntervalSet.from_pairs(pairs, merge_tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Config parsing
 
@@ -242,14 +231,16 @@ KEYS = {
     # H <= 1e4 keeps the marker bound's analytic cap max_run (2 + H)^max_run finite
     # for runs up to the default K_max; C bounds SL(2, R) norms, which are >= 1
     "H": (_bound(float, ">", 0.0, 1e4),), "C": (_or_null(_bound(float, ">=", 1.0)),),
-    "cone_gap": (float,), "cone_eps": (float,), "P": (int,), "C_prime": (float,),
-    "C2": (float,), "c_slack": (float,), "K_max": (int,),
+    # c_slack and C2 divide or take a log, cone_gap guards the coupling, C_prime
+    # floors chi, and P and K_max count steps
+    "cone_gap": (_bound(float, ">", 0.0),), "cone_eps": (float,), "P": (_bound(int, ">=", 1),),
+    "C_prime": (_bound(float, ">", 0.0),), "C2": (_bound(float, ">", 0.0),),
+    "c_slack": (_bound(float, ">", 0.0),), "K_max": (_bound(int, ">=", 1),),
     "subshift.kind": (None,), "subshift.word": (str,), "subshift.rules": (_dict_of(str),),
     "subshift.seed_letter": (str,), "subshift.stages": (_list_of(_list_of(str)),),
     "words.sample_len": (int, 1024), "words.alphabet": (_or_null(_list_of(str)),),
     "words.complexity_lengths": (_list_of(int), [1, 2, 4, 8, 16]),
     "spectrum.word": (str, ""),
-    "measure.op": (str, ""), "measure.x": (None,), "measure.y": (None,),
     "decay.lam_list": (_list_of(_bound(float, ">", 0.0)),), "decay.factor_len": (int, 13),
     "decay.e0_letter": (str, "a"), "decay.sample_len": (int,),
     "adz.k": (int, 2), "adz.eps": (float, 0.5), "adz.stages": (int, 3), "adz.n_cap": (int, 10000),
@@ -484,35 +475,6 @@ def _run_spectrum(cfg: RunConfig) -> tuple[int, dict, str]:
     return 0, artifacts, f"spectrum: {len(bands)} band(s), measure {bands.measure:.6g}"
 
 
-def _read_set(sec: dict, key: str) -> IntervalSet:
-    if key not in sec:
-        raise ConfigError(f"measure.{key} is required")
-    try:
-        return read_intervals_csv(Path(sec[key]))
-    except (OSError, TypeError, ValueError) as exc:
-        raise ConfigError(f"measure.{key}: cannot read an interval CSV: {exc}") from exc
-
-
-def _run_measure(cfg: RunConfig) -> tuple[int, dict, str]:
-    sec = cfg.section("measure")
-    op = cfg.get("measure.op")
-    x = _read_set(sec, "x")
-    y = sec.get("y")
-    if op in ("union", "intersect", "difference", "subset"):
-        y = _read_set(sec, "y")
-    try:
-        result = interval_algebra(op, x, y)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"measure: {exc}") from exc
-    if not isinstance(result, IntervalSet):
-        return 0, {"result.json": {"op": op, "result": result}}, f"measure: {op} -> {result}"
-    artifacts = {
-        "result.csv": result,
-        "result.json": {"op": op, "intervals": result, "measure": result.measure},
-    }
-    return 0, artifacts, f"measure: {op} -> {result.measure}"
-
-
 def _run_decay(cfg: RunConfig) -> tuple[int, dict, str]:
     cfg.section("decay")
     table = decay_sweep(
@@ -634,7 +596,6 @@ def _run_verify(cfg: RunConfig) -> tuple[int, dict, str]:
 RUNNERS = {
     "words": _run_words,
     "spectrum": _run_spectrum,
-    "measure": _run_measure,
     "decay": _run_decay,
     "adz": _run_adz,
     "tower": _run_tower,
@@ -650,7 +611,7 @@ def dispatch(command: str, cfg: RunConfig, out_dir: str | Path, quiet: bool = Fa
     """Run one command against a parsed config, then write its artifacts to
     ``out_dir``: a command that raises writes none."""
     if command not in RUNNERS:
-        raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+        raise ConfigError(f"unknown command {command!r}; choose from {', '.join(RUNNERS)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     code, artifacts, line = RUNNERS[command](cfg)
@@ -674,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="subshift-spectra",
         description="Spectra of Schrodinger operators with subshift potentials",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")

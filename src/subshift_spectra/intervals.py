@@ -168,24 +168,3 @@ class IntervalSet:
 
     def clip(self, lo: float, hi: float) -> "IntervalSet":
         return self.intersect(IntervalSet.single(lo, hi))
-
-
-def interval_algebra(op: str, x: IntervalSet, y):
-    """Dispatch the named set operation; mirrors the CLI surface.
-
-    ``union | intersect | difference`` take two sets, ``dilate`` a set and a
-    radius, ``subset`` returns a bool, ``measure`` a real.
-    """
-    if op == "union":
-        return x.union(y)
-    if op == "intersect":
-        return x.intersect(y)
-    if op == "difference":
-        return x.difference(y)
-    if op == "dilate":
-        return x.dilate(float(y))
-    if op == "subset":
-        return x.subset_of(y)
-    if op == "measure":
-        return x.measure
-    raise ValueError(f"unknown interval operation {op!r}")

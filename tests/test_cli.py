@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import warnings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from subshift_spectra import IntervalSet
 from subshift_spectra.cli import (
     KEYS,
+    RUNNERS,
     ConfigError,
     RunConfig,
     _record,
@@ -24,7 +26,6 @@ from subshift_spectra.cli import (
     fmt_num,
     load_config,
     main,
-    read_intervals_csv,
 )
 from subshift_spectra.experiments import adz_construct, decay_sweep, scaled_product_suite
 from subshift_spectra.tower import Constants, tower_pipeline
@@ -126,41 +127,6 @@ def test_spectrum_single_site(tmp_path):
     assert report["measure"] == 4.0
     assert report["tool_version"]
     assert len(report["config_sha256"]) == 64
-
-
-def test_measure_union(tmp_path):
-    (tmp_path / "x.csv").write_text("lo,hi\n0,1\n")
-    (tmp_path / "y.csv").write_text("lo,hi\n0.5,2\n")
-    code, out = run(
-        tmp_path,
-        "measure",
-        {"measure": {"op": "union", "x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}},
-    )
-    assert code == 0
-    assert (out / "result.csv").read_text() == "lo,hi\n0,2\n"
-    assert json.loads((out / "result.json").read_text())["measure"] == 2.0
-
-
-def test_measure_subset_and_dilate(tmp_path):
-    (tmp_path / "x.csv").write_text("lo,hi\n0,1\n")
-    (tmp_path / "y.csv").write_text("lo,hi\n-1,2\n")
-    code, out = run(
-        tmp_path,
-        "measure",
-        {"measure": {"op": "subset", "x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}},
-        out="subset_out",
-    )
-    assert code == 0
-    assert json.loads((out / "result.json").read_text())["result"] is True
-
-    code, out = run(
-        tmp_path,
-        "measure",
-        {"measure": {"op": "dilate", "x": str(tmp_path / "x.csv"), "y": 0.1}},
-        out="dilate_out",
-    )
-    assert code == 0
-    assert read_intervals_csv(out / "result.csv").intervals == ((-0.1, 1.1),)
 
 
 def test_words_command(tmp_path):
@@ -282,6 +248,26 @@ def test_main_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+def test_measure_is_not_a_command(tmp_path, capsys):
+    # interval-set algebra is the library's IntervalSet, not a CLI command
+    cfg_path = write_config(tmp_path, {"measure": {"op": "union", "x": "x.csv", "y": "y.csv"}})
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'measure'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="choose from words, spectrum, decay, adz, tower, verify$"):
+        dispatch("measure", RunConfig({}), tmp_path / "o", quiet=True)
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_command_table_lists_every_command():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command    | artifacts |") + 2  # past the header and its rule
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    assert [row.split("`")[1] for row in rows] == list(RUNNERS)
+
+
 def test_verify_core_overflow_exit_code(tmp_path, capsys):
     # level-2 cores at b = 200 overflow float64: the run fails, exit 1
     cfg_path = write_config(
@@ -341,31 +327,26 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
-    "section",
-    [{"op": "frobnicate", "x": "x.csv"}, {"op": "measure"}],
-    ids=["unknown_op", "missing_x"],
-)
-def test_measure_config_errors(tmp_path, capsys, section):
-    (tmp_path / "x.csv").write_text("lo,hi\n0,1\n")
-    if "x" in section:
-        section["x"] = str(tmp_path / section["x"])
-    cfg_path = write_config(tmp_path, {"measure": section})
-    code = main(["measure", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("configuration error: ")
-
-
-@pytest.mark.parametrize(
-    "payload, key",
+    "command, payload, key",
     [
-        ({"gird": 4097, "potential": {"a": 0.0}, "spectrum": {"word": "a"}}, "'gird'"),
-        ({"potential": {"a": 0.0}, "spectrum": {"word": "a", "wrod": "b"}}, "'wrod'"),
+        ("spectrum", {"gird": 4097, "potential": {"a": 0.0}, "spectrum": {"word": "a"}}, "'gird'"),
+        ("spectrum", {"potential": {"a": 0.0}, "spectrum": {"word": "a", "wrod": "b"}}, "'wrod'"),
+        (
+            "decay",
+            {
+                "subshift": {"kind": "periodic", "word": "ab"},
+                "potential": {"a": 0.0, "b": 1.0},
+                "decay": {"lam_list": [10.0, 20.0, 40.0]},
+                "measure": {"op": "union"},
+            },
+            "'measure'",
+        ),
     ],
-    ids=["top_level", "section"],
+    ids=["top_level", "section", "measure_section"],
 )
-def test_unknown_config_key_rejected(tmp_path, capsys, payload, key):
+def test_unknown_config_key_rejected(tmp_path, capsys, command, payload, key):
     cfg_path = write_config(tmp_path, payload)
-    code = main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and key in err
@@ -561,6 +542,14 @@ OUT_OF_RANGE_NUMBERS = [
     ("tower", "tower.levels", -1),
     ("tower", "tower.levels", 0),
     ("words", "words.complexity_lengths", []),
+    ("verify", "c_slack", 0),
+    ("verify", "c_slack", -1),
+    ("verify", "C2", 0),
+    ("verify", "C_prime", 0),
+    ("verify", "cone_gap", 0),
+    ("verify", "P", 0),
+    ("verify", "P", -1),
+    ("tower", "K_max", 0),
 ]
 
 
@@ -784,12 +773,6 @@ def test_artifact_key_contract(tmp_path):
     load("run_stats.json", {"max_run", "window"})
     code, out = run(tmp_path, "spectrum", MISTAKE_BASES["spectrum"], out="spectrum")
     load("spectrum.json", {"word", "edges", "measure"})
-    (tmp_path / "x.csv").write_text("lo,hi\n0,1\n")
-    (tmp_path / "y.csv").write_text("lo,hi\n0.5,2\n")
-    for op, keys in [("union", {"op", "intervals", "measure"}), ("subset", {"op", "result"})]:
-        measure = {"measure": {"op": op, "x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}}
-        code, out = run(tmp_path, "measure", measure, out=op)
-        load("result.json", keys)
 
 
 SMALL_TOWER = {
@@ -806,8 +789,6 @@ TOWER_FILES = {
 ARTIFACT_NAMES = [
     ("words", MISTAKE_BASES["words"], {"sample.txt", "complexity.csv", "run_stats.json"}),
     ("spectrum", MISTAKE_BASES["spectrum"], {"bands.csv", "spectrum.json"}),
-    ("measure", {"op": "union"}, {"result.csv", "result.json"}),
-    ("measure", {"op": "subset"}, {"result.json"}),
     ("decay", "acceptance_decay.json", {"decay.csv", "decay.json"}),
     (
         "adz",
@@ -822,17 +803,12 @@ ARTIFACT_NAMES = [
 @pytest.mark.parametrize(
     "command, payload, names",
     ARTIFACT_NAMES,
-    ids=["words", "spectrum", "measure-union", "measure-subset", "decay", "adz", "tower", "verify"],
+    ids=[command for command, _, _ in ARTIFACT_NAMES],
 )
 def test_command_writes_exactly_its_artifacts(tmp_path, command, payload, names):
-    # dispatch writes what the command returns, and nothing else: a measure
-    # whose result is an interval set also writes it as result.csv
+    # dispatch writes what the command returns, and nothing else
     if isinstance(payload, str):
         payload = json.loads((CONFIGS / payload).read_text())
-    if command == "measure":
-        (tmp_path / "x.csv").write_text("lo,hi\n0,1\n")
-        (tmp_path / "y.csv").write_text("lo,hi\n-1,2\n")
-        payload = {"measure": {**payload, "x": str(tmp_path / "x.csv"), "y": str(tmp_path / "y.csv")}}
     code, out = run(tmp_path, command, payload)
     assert code == 0
     assert {str(p.relative_to(out)) for p in out.rglob("*")} == names

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subshift_spectra import IntervalSet, interval_algebra
+from subshift_spectra import IntervalSet
 from subshift_spectra.intervals import MERGE_TOL
 
 from conftest import endpoint_reprs, rng, sequential_merge
@@ -19,6 +19,11 @@ def test_union_example():
     u = make((0, 1)).union(make((0.5, 2)))
     assert u.intervals == ((0.0, 2.0),)
     assert u.measure == 2.0
+
+
+def test_intersect_example():
+    i = make((0, 1)).intersect(make((0.5, 2)))
+    assert i.intervals == ((0.5, 1.0),)
 
 
 def test_difference_example():
@@ -102,19 +107,6 @@ def test_difference_complements_intersection():
 def test_clip_and_span():
     s = make((0, 1), (4, 6))
     assert s.clip(0.5, 5).intervals == ((0.5, 1.0), (4.0, 5.0))
-
-
-def test_interval_algebra_dispatch():
-    x = make((0, 1))
-    y = make((0.5, 2))
-    assert interval_algebra("union", x, y).measure == 2.0
-    assert interval_algebra("intersect", x, y).intervals == ((0.5, 1.0),)
-    assert interval_algebra("difference", x, y).intervals == ((0.0, 0.5),)
-    assert interval_algebra("dilate", x, 0.25).intervals == ((-0.25, 1.25),)
-    assert interval_algebra("subset", make((0.1, 0.2)), x) is True
-    assert interval_algebra("measure", x, None) == 1.0
-    with pytest.raises(ValueError):
-        interval_algebra("xor", x, y)
 
 
 # -- properties ----------------------------------------------------------------

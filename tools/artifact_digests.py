@@ -18,15 +18,12 @@ the shipped Fibonacci config has 14), ``tower`` on the shipped λ = 400
 config with the silver-mean rules a → aab, b → a and b = 200, the one run
 whose marker bound C (``tower.critical_matrix_bound``, runs of up to three
 marker letters) is set by a derivative norm, ||d/dE C^3||, rather than by a
-power's norm, and one run each of ``tower``, ``words``, ``spectrum`` and
-every ``measure`` op.  Each goes through
-``cli.dispatch`` into its own directory under one temporary directory;
-measure inputs are referenced by relative path, so every digest is
-independent of where the temporary directory lives.  Output is one
-``sha256  relative/path`` line per artifact, sorted by path, so two
-checkouts write identical artifacts exactly when their outputs are equal.  A
-run that exits non-zero is named on stderr and makes the tool exit 1, since
-its artifacts are missing from the list:
+power's norm, and one run each of ``tower``, ``words`` and ``spectrum``.
+Each goes through ``cli.dispatch`` into its own directory under one
+temporary directory.  Output is one ``sha256  relative/path`` line per
+artifact, sorted by path, so two checkouts write identical artifacts exactly
+when their outputs are equal.  A run that exits non-zero is named on stderr
+and makes the tool exit 1, since its artifacts are missing from the list:
 
     python3 tools/artifact_digests.py > before.txt   # in one checkout
     python3 tools/artifact_digests.py > after.txt    # in the other
@@ -64,9 +61,6 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(ROOT / "src"))
 
 from subshift_spectra import cli  # noqa: E402
-
-SET_X = [(-2.5, -1.0), (0.0, 1.25), (3.0, 4.0)]
-SET_Y = [(-1.5, 0.5), (3.5, 6.0)]
 
 
 def runs() -> list[tuple[str, str, dict]]:
@@ -110,9 +104,6 @@ def runs() -> list[tuple[str, str, dict]]:
     out.append(("words", "words", {"seed": 7, "subshift": fibonacci, "words": words}))
     spectrum = {"seed": 7, "potential": {"a": 0.0, "b": 1.5}, "spectrum": {"word": "aab"}}
     out.append(("spectrum", "spectrum", spectrum))
-    for op in ("union", "intersect", "difference", "subset", "measure", "dilate"):
-        y = 0.25 if op == "dilate" else "y.csv"
-        out.append((f"measure_{op}", "measure", {"seed": 7, "measure": {"op": op, "x": "x.csv", "y": y}}))
     return out
 
 
@@ -120,13 +111,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="sha256 of every artifact of a fixed run set")
     ap.add_argument("--keep", type=Path, help="also copy the artifact tree to this new directory")
     args = ap.parse_args(argv)
-    keep = args.keep.resolve() if args.keep else None
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        os.chdir(work)
-        cli.write_csv(work / "x.csv", ["lo", "hi"], [list(p) for p in SET_X])
-        cli.write_csv(work / "y.csv", ["lo", "hi"], [list(p) for p in SET_Y])
-        outputs = work / "out"
+        outputs = Path(tmp) / "out"
         failed = False
         for name, command, raw in runs():
             code = cli.dispatch(command, cli.RunConfig(copy.deepcopy(raw)), outputs / name, quiet=True)
@@ -136,9 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         for path in sorted(p for p in outputs.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(outputs).as_posix()}")
-        if keep is not None:
-            shutil.copytree(outputs, keep)
-        os.chdir(ROOT)
+        if args.keep is not None:
+            shutil.copytree(outputs, args.keep)
     return int(failed)
 
 
